@@ -35,8 +35,9 @@ namespace plp::bench {
 namespace {
 
 constexpr double kDelta = 2e-4;
-/// The paper's user count — the fixed-batch hypergeometric weights need a
-/// concrete population (Poisson accounting is population-free).
+/// The paper's user count — fixed-batch rounds are accounted at p = B/N,
+/// so they need a concrete population (Poisson accounting is
+/// population-free).
 constexpr int64_t kPopulation = 4602;
 
 core::PlpConfig AccountingConfig(const std::string& accountant,

@@ -37,7 +37,7 @@ void Run(int argc, char** argv) {
     const RunOutcome outcome = RunAndEvaluate(
         StageConfig::Private(config), workload, options.seed + 1);
 
-    // The group-level MoG accountant's ε for the same rounds: the user's
+    // The PLD accountant's ε (mog spelling) for the same rounds: the user's
     // ω bucket parts enter as one atom of sensitivity ω·C (participation
     // is all-or-nothing), and the exact dominating-pair PLD of that law
     // is strictly tighter than the classic RDP bound at every ω.

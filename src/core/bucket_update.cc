@@ -1,7 +1,6 @@
 #include "core/bucket_update.h"
 
 #include <algorithm>
-#include <cmath>
 #include <span>
 
 #include "sgns/local_model.h"
@@ -85,18 +84,6 @@ void BucketPairsInto(const Bucket& bucket, const PlpConfig& config,
   }
 }
 
-sgns::SparseDelta ComputeRawBucketDelta(const sgns::SgnsModel& theta,
-                                        const Bucket& bucket,
-                                        const PlpConfig& config,
-                                        int32_t num_locations, Rng& rng,
-                                        double* loss_out,
-                                        sgns::TrainScratch* scratch) {
-  sgns::SparseDelta delta(config.sgns.embedding_dim);
-  ComputeRawBucketDeltaInto(theta, bucket, config, num_locations, rng,
-                            loss_out, scratch, delta);
-  return delta;
-}
-
 void ComputeRawBucketDeltaInto(const sgns::SgnsModel& theta,
                                const Bucket& bucket, const PlpConfig& config,
                                int32_t num_locations, Rng& rng,
@@ -132,21 +119,6 @@ void ComputeRawBucketDeltaInto(const sgns::SgnsModel& theta,
   if (loss_out != nullptr) {
     *loss_out = stats.mean_loss();
   }
-}
-
-sgns::SparseDelta ComputeBucketUpdate(const sgns::SgnsModel& theta,
-                                      const Bucket& bucket,
-                                      const PlpConfig& config,
-                                      int32_t num_locations, Rng& rng,
-                                      double* loss_out,
-                                      sgns::TrainScratch* scratch) {
-  sgns::SparseDelta delta = ComputeRawBucketDelta(
-      theta, bucket, config, num_locations, rng, loss_out, scratch);
-  // Per-layer clipping (Section 4.1): each of the |θ| = 3 tensors is
-  // clipped to C/√3 so the overall delta norm is at most C.
-  delta.ClipPerTensor(config.clip_norm /
-                      std::sqrt(static_cast<double>(sgns::kNumTensors)));
-  return delta;
 }
 
 uint64_t BucketSeed(uint64_t step_seed, const Bucket& bucket) {

@@ -32,23 +32,14 @@ void BucketPairsInto(const Bucket& bucket, const PlpConfig& config,
                      std::vector<sgns::Pair>& out);
 
 /// Lines 15–20 only: local SGD over the bucket's batches starting from
-/// θ_t, returning the *unclipped* model delta. The pipeline's
-/// `LocalUpdater` stage produces this raw delta and hands it to the
-/// `DeltaClipper` stage, which applies line 21 and reports whether the
-/// bound engaged (clip_fraction). `loss_out` may be null; `scratch` is an
-/// optional per-worker workspace.
-sgns::SparseDelta ComputeRawBucketDelta(const sgns::SgnsModel& theta,
-                                        const Bucket& bucket,
-                                        const PlpConfig& config,
-                                        int32_t num_locations, Rng& rng,
-                                        double* loss_out = nullptr,
-                                        sgns::TrainScratch* scratch = nullptr);
-
-/// ComputeRawBucketDelta into a caller-owned delta (Clear()ed first).
-/// With `scratch` given, the overlay model and the delta's row stores
-/// both reuse capacity grown on earlier buckets, so steady-state bucket
-/// fan-out performs no allocation. Results are bitwise identical to the
-/// by-value overload.
+/// θ_t, writing the *unclipped* model delta into `delta` (Clear()ed
+/// first). The pipeline's `LocalUpdater` stage produces this raw delta and
+/// hands it to the `DeltaClipper` stage, which applies line 21 and reports
+/// whether the bound engaged (clip_fraction). `loss_out` may be null.
+/// `scratch` is an optional per-worker workspace: with it, the overlay
+/// model and the delta's row stores both reuse capacity grown on earlier
+/// buckets, so steady-state bucket fan-out performs no allocation, and
+/// results are bitwise identical to running without it.
 /// `negative_table` selects unigram negative sampling for the local SGD
 /// (null → uniform, byte-identical to the pre-option behavior).
 void ComputeRawBucketDeltaInto(const sgns::SgnsModel& theta,
@@ -58,20 +49,6 @@ void ComputeRawBucketDeltaInto(const sgns::SgnsModel& theta,
                                sgns::SparseDelta& delta,
                                const sgns::UnigramTable* negative_table =
                                    nullptr);
-
-/// ModelUpdateFromBucket (Algorithm 1 lines 15–22): local SGD over the
-/// bucket's batches starting from θ_t, then the clipped model delta
-/// (per-tensor C/√3, so the overall norm is at most C). Deterministic
-/// given `rng`'s state. `loss_out` may be null. `scratch` is an optional
-/// per-worker workspace (pair/candidate/gradient buffers) that eliminates
-/// steady-state allocation without changing any result.
-/// ComputeRawBucketDelta followed by the per-tensor clip.
-sgns::SparseDelta ComputeBucketUpdate(const sgns::SgnsModel& theta,
-                                      const Bucket& bucket,
-                                      const PlpConfig& config,
-                                      int32_t num_locations, Rng& rng,
-                                      double* loss_out = nullptr,
-                                      sgns::TrainScratch* scratch = nullptr);
 
 /// The RNG seed for one bucket's local training, derived from the step
 /// seed and the bucket's *content* (user ids and data shape), never its

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "privacy/mog_accountant.h"
+#include "privacy/pld_accountant.h"
 
 namespace plp::core {
 namespace {
@@ -73,7 +73,7 @@ Status PlpConfig::Validate() const {
   }
   if (accountant == "mog" &&
       split_factor > privacy::kMogMaxSplitFactor) {
-    // MogAccountant::AddRounds rejects larger ω; catching it here fails
+    // The mog Accountant stage rejects larger ω; catching it here fails
     // the run before corpus loading instead of at the first TrackRound.
     violations.push_back(
         "accountant \"mog\" supports split_factor <= " +

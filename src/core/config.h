@@ -79,13 +79,15 @@ struct PlpConfig {
   privacy::RdpConversion rdp_conversion = privacy::RdpConversion::kClassic;
 
   /// Accountant stage implementation: "rdp" (the moments-accountant
-  /// ledger, the default), "pld_fft" (FFT-composed privacy-loss
-  /// distribution per Koskela et al., arXiv:1906.03049 — tighter ε at the
-  /// same (q, σ, δ), so more steps inside the same budget), or "mog"
-  /// (group-level Mixture-of-Gaussians PLD per Ganesh, arXiv:2401.10294 —
-  /// tight in the split factor ω and the only accountant that models
-  /// fixed_batch sampling). Checkpoints record the accountant's own blob;
-  /// resuming under a different accountant is rejected.
+  /// ledger, the default), or one of the two spellings of the FFT-composed
+  /// privacy-loss-distribution accountant (Koskela et al.,
+  /// arXiv:1906.03049; tighter ε at the same (q, σ, δ), so more steps
+  /// inside the same budget): "pld_fft" accounts Poisson rounds only,
+  /// "mog" (named for the Mixture-of-Gaussians reduction of Ganesh,
+  /// arXiv:2401.10294) also accounts fixed_batch rounds at p = B/N. Both
+  /// spellings are the same mechanism with the same ε bits, so a
+  /// checkpoint written under one resumes under the other; resuming
+  /// between rdp and a PLD spelling is rejected.
   std::string accountant = "rdp";
 
   /// Flexible budget allocation across learning stages (the paper's

@@ -10,7 +10,6 @@
 #include "core/bucket_update.h"
 #include "optim/optimizers.h"
 #include "privacy/ledger.h"
-#include "privacy/mog_accountant.h"
 #include "privacy/pld_accountant.h"
 #include "sgns/loss.h"
 #include "sgns/pairs.h"
@@ -184,6 +183,28 @@ Status RejectNonPoissonRound(const char* accountant_name,
       "are poisson x {rdp, pld_fft, mog} and fixed_batch x {mog}");
 }
 
+/// Checkpoint invariants every accountant blob must meet before it
+/// replaces the live state: fully consumed, the configured δ, and — the
+/// ledger-first invariant — exactly `step` tracked rounds, so the ledger
+/// always covers the model's spends.
+template <typename Ledger>
+Result<Ledger> RestoreLedger(const std::string& blob, double delta,
+                             int64_t step) {
+  ByteReader reader(blob);
+  PLP_ASSIGN_OR_RETURN(Ledger restored, Ledger::Restore(reader));
+  if (!reader.AtEnd()) {
+    return InvalidArgumentError("checkpoint: trailing ledger bytes");
+  }
+  if (restored.delta() != delta) {
+    return InvalidArgumentError("checkpoint δ disagrees with config");
+  }
+  if (restored.total_steps() != step) {
+    return InvalidArgumentError(
+        "checkpoint ledger steps disagree with step counter");
+  }
+  return restored;
+}
+
 /// Lines 3 + 11–13 with the RDP moments-accountant ledger (the default).
 class LedgerAccountant final : public Accountant {
  public:
@@ -231,22 +252,8 @@ class LedgerAccountant final : public Accountant {
   }
 
   Status RestoreBlob(const std::string& blob, int64_t step) override {
-    ByteReader reader(blob);
-    PLP_ASSIGN_OR_RETURN(privacy::PrivacyLedger restored,
-                         privacy::PrivacyLedger::Restore(reader));
-    if (!reader.AtEnd()) {
-      return InvalidArgumentError("checkpoint: trailing ledger bytes");
-    }
-    if (restored.delta() != config_.delta) {
-      return InvalidArgumentError("checkpoint δ disagrees with config");
-    }
-    // Ledger-first invariant: a snapshot at step k carries exactly k
-    // tracked steps — the ledger always covers the model's spends.
-    if (restored.total_steps() != step) {
-      return InvalidArgumentError(
-          "checkpoint ledger steps disagree with step counter");
-    }
-    ledger_ = std::move(restored);
+    PLP_ASSIGN_OR_RETURN(ledger_, RestoreLedger<privacy::PrivacyLedger>(
+                                      blob, config_.delta, step));
     return Status::Ok();
   }
 
@@ -256,37 +263,37 @@ class LedgerAccountant final : public Accountant {
 };
 
 /// Lines 3 + 11–13 with the FFT privacy-loss-distribution accountant
-/// (Koskela et al.) — the pluggable-seam proof. Same tracking policy and
-/// checkpoint invariants as the ledger, different (tighter) ε oracle.
-class PldFftAccountant final : public Accountant {
+/// (Koskela et al.) behind both of its spellings. "pld_fft" refuses
+/// fixed-batch rounds; "mog" accounts them at p = B/N and keeps that
+/// spelling's ω <= kMogMaxSplitFactor bound. Same tracking policy and
+/// checkpoint invariants as the ledger, tighter ε oracle. Either spelling
+/// restores the PLD1 blobs both write and the MOG1 blobs "mog" wrote
+/// before it shared this accountant.
+class PldStageAccountant final : public Accountant {
  public:
-  explicit PldFftAccountant(const core::PlpConfig& config)
-      : config_(config), pld_(config.delta) {}
+  explicit PldStageAccountant(const core::PlpConfig& config)
+      : config_(config), mog_(config.accountant == "mog"),
+        pld_(config.delta) {}
 
   Result<BudgetDecision> TrackRound(const RoundRecord& round) override {
-    PLP_RETURN_IF_ERROR(RejectNonPoissonRound("pld_fft", round));
-    PLP_RETURN_IF_ERROR(
-        pld_.AddSteps(round.sampling_ratio, round.noise_multiplier, 1));
-    BudgetDecision decision;
-    decision.epsilon_after = pld_.CumulativeEpsilon();
-    decision.exhausted = decision.epsilon_after > config_.epsilon_budget;
-    return decision;
+    PLP_RETURN_IF_ERROR(AddRound(round));
+    return Decide();
   }
 
   Result<BudgetDecision> TrackRounds(const RoundRecord& first,
                                      int64_t count) override {
-    // Bulk fast path: appending entries is O(1) each; ε is composed once
-    // at the end instead of per round (one FFT instead of `count`).
-    PLP_RETURN_IF_ERROR(RejectNonPoissonRound("pld_fft", first));
+    // Bulk fast path: appending entries is O(1) each and identical-σ runs
+    // coalesce, so ε is composed once at the end (one FFT instead of
+    // `count`). σ_t is recomputed per step so the sweep stays exact under
+    // a noise-decay schedule.
+    RoundRecord round = first;
     for (int64_t i = 0; i < count; ++i) {
-      PLP_RETURN_IF_ERROR(pld_.AddSteps(
-          first.sampling_ratio,
-          core::EffectiveNoiseMultiplier(config_, first.step + i), 1));
+      round.step = first.step + i;
+      round.noise_multiplier =
+          core::EffectiveNoiseMultiplier(config_, round.step);
+      PLP_RETURN_IF_ERROR(AddRound(round));
     }
-    BudgetDecision decision;
-    decision.epsilon_after = pld_.CumulativeEpsilon();
-    decision.exhausted = decision.epsilon_after > config_.epsilon_budget;
-    return decision;
+    return Decide();
   }
 
   double EpsilonSpent() const override { return pld_.CumulativeEpsilon(); }
@@ -298,113 +305,45 @@ class PldFftAccountant final : public Accountant {
   }
 
   Status RestoreBlob(const std::string& blob, int64_t step) override {
-    ByteReader reader(blob);
-    PLP_ASSIGN_OR_RETURN(privacy::PldAccountant restored,
-                         privacy::PldAccountant::Restore(reader));
-    if (!reader.AtEnd()) {
-      return InvalidArgumentError("checkpoint: trailing ledger bytes");
-    }
-    if (restored.delta() != config_.delta) {
-      return InvalidArgumentError("checkpoint δ disagrees with config");
-    }
-    if (restored.total_steps() != step) {
-      return InvalidArgumentError(
-          "checkpoint ledger steps disagree with step counter");
-    }
-    pld_ = std::move(restored);
+    PLP_ASSIGN_OR_RETURN(pld_, RestoreLedger<privacy::PldAccountant>(
+                                   blob, config_.delta, step));
     return Status::Ok();
   }
 
  private:
-  core::PlpConfig config_;
-  privacy::PldAccountant pld_;
-};
-
-/// One pipeline RoundRecord as `steps` identical MoG accountant rounds.
-/// Poisson rounds zero the fixed-batch fields so identical mechanisms
-/// coalesce (and serialize) canonically.
-privacy::MogRound ToMogRound(const RoundRecord& round, int64_t steps) {
-  privacy::MogRound mog;
-  if (round.scheme == core::SamplingScheme::kFixedBatch) {
-    mog.sampling = privacy::MogSampling::kFixedBatch;
-    mog.batch_size = round.batch_size;
-    mog.population = round.population;
-  } else {
-    mog.sampling = privacy::MogSampling::kPoisson;
-  }
-  mog.sampling_ratio = round.sampling_ratio;
-  mog.noise_multiplier = round.noise_multiplier;
-  mog.split_factor = round.split_factor;
-  mog.steps = steps;
-  return mog;
-}
-
-/// Lines 3 + 11–13 with the group-level Mixture-of-Gaussians accountant
-/// (Ganesh, arXiv:2401.10294) — tight in ω and the only stage accountant
-/// covering both sampling schemes. Same tracking policy and checkpoint
-/// invariants as the ledger, ω-aware ε oracle.
-class MogStageAccountant final : public Accountant {
- public:
-  explicit MogStageAccountant(const core::PlpConfig& config)
-      : config_(config), mog_(config.delta) {}
-
-  Result<BudgetDecision> TrackRound(const RoundRecord& round) override {
-    PLP_RETURN_IF_ERROR(mog_.AddRounds(ToMogRound(round, 1)));
-    return Decide();
-  }
-
-  Result<BudgetDecision> TrackRounds(const RoundRecord& first,
-                                     int64_t count) override {
-    // Bulk fast path: identical-σ runs coalesce inside the accountant, so
-    // a schedule-free sweep composes with one DFT power per mechanism
-    // instead of one per round. σ_t is still recomputed per step for
-    // schedule correctness.
-    RoundRecord round = first;
-    for (int64_t i = 0; i < count; ++i) {
-      round.step = first.step + i;
-      round.noise_multiplier =
-          core::EffectiveNoiseMultiplier(config_, round.step);
-      PLP_RETURN_IF_ERROR(mog_.AddRounds(ToMogRound(round, 1)));
+  /// One round at the protected user's participation probability: the
+  /// pipeline samples whole users, so p = q under Poisson and p = B/N
+  /// under fixed batch (see PldAccountant).
+  Status AddRound(const RoundRecord& round) {
+    if (!mog_) {
+      PLP_RETURN_IF_ERROR(RejectNonPoissonRound("pld_fft", round));
+    } else if (round.split_factor < 1 ||
+               round.split_factor > privacy::kMogMaxSplitFactor) {
+      return InvalidArgumentError("split factor must be in [1, 64]");
     }
-    return Decide();
+    double p = round.sampling_ratio;
+    if (round.scheme == core::SamplingScheme::kFixedBatch) {
+      if (round.population < 1 || round.batch_size < 1 ||
+          round.batch_size > round.population) {
+        return InvalidArgumentError(
+            "fixed batch requires 1 <= batch_size <= population");
+      }
+      p = static_cast<double>(round.batch_size) /
+          static_cast<double>(round.population);
+    }
+    return pld_.AddSteps(p, round.noise_multiplier, 1);
   }
 
-  double EpsilonSpent() const override { return mog_.CumulativeEpsilon(); }
-
-  std::string SaveBlob() const override {
-    ByteWriter writer;
-    mog_.SaveState(writer);
-    return writer.Take();
-  }
-
-  Status RestoreBlob(const std::string& blob, int64_t step) override {
-    ByteReader reader(blob);
-    PLP_ASSIGN_OR_RETURN(privacy::MogAccountant restored,
-                         privacy::MogAccountant::Restore(reader));
-    if (!reader.AtEnd()) {
-      return InvalidArgumentError("checkpoint: trailing ledger bytes");
-    }
-    if (restored.delta() != config_.delta) {
-      return InvalidArgumentError("checkpoint δ disagrees with config");
-    }
-    if (restored.total_steps() != step) {
-      return InvalidArgumentError(
-          "checkpoint ledger steps disagree with step counter");
-    }
-    mog_ = std::move(restored);
-    return Status::Ok();
-  }
-
- private:
   BudgetDecision Decide() const {
     BudgetDecision decision;
-    decision.epsilon_after = mog_.CumulativeEpsilon();
+    decision.epsilon_after = pld_.CumulativeEpsilon();
     decision.exhausted = decision.epsilon_after > config_.epsilon_budget;
     return decision;
   }
 
   core::PlpConfig config_;
-  privacy::MogAccountant mog_;
+  bool mog_;  ///< the "mog" spelling: fixed-batch rounds allowed
+  privacy::PldAccountant pld_;
 };
 
 /// Line 10 through the optim::ServerOptimizer registry ("dp_adam" /
@@ -664,11 +603,8 @@ std::unique_ptr<Accountant> MakeAccountant(const core::PlpConfig& config) {
   if (config.accountant == "rdp") {
     return std::make_unique<LedgerAccountant>(config);
   }
-  if (config.accountant == "mog") {
-    return std::make_unique<MogStageAccountant>(config);
-  }
-  PLP_CHECK(config.accountant == "pld_fft");
-  return std::make_unique<PldFftAccountant>(config);
+  PLP_CHECK(config.accountant == "pld_fft" || config.accountant == "mog");
+  return std::make_unique<PldStageAccountant>(config);
 }
 
 StageSet MakePrivateStages(const core::PlpConfig& config) {

@@ -26,11 +26,10 @@ StageSet MakeNonPrivateStages(const core::NonPrivateConfig& config);
 EngineConfig MakeNonPrivateEngineConfig(const core::NonPrivateConfig& config);
 
 /// The accountant stage selected by `config.accountant` ("rdp" → the RDP
-/// moments-accountant ledger, "pld_fft" → the FFT-composed privacy-loss-
-/// distribution accountant of Koskela et al., arXiv:1906.03049, "mog" →
-/// the group-level Mixture-of-Gaussians accountant of Ganesh,
-/// arXiv:2401.10294 — the exact PLD of the pipeline's all-or-nothing
-/// participation law, and the only one accepting fixed_batch rounds).
+/// moments-accountant ledger; "pld_fft" and "mog" → the FFT-composed
+/// privacy-loss-distribution accountant of Koskela et al.,
+/// arXiv:1906.03049, over the pipeline's all-or-nothing participation
+/// law, where only the "mog" spelling accepts fixed_batch rounds).
 /// Aborts on names Validate() would reject.
 std::unique_ptr<Accountant> MakeAccountant(const core::PlpConfig& config);
 

@@ -13,23 +13,82 @@ namespace {
 using pld_grid::Fft;
 using pld_grid::IntPow;
 using pld_grid::StdNormalCdf;
+using pld_grid::WrapIndex;
 
-constexpr uint32_t kBlobMagic = 0x31444C50;  // "PLD1" little-endian
+constexpr uint32_t kBlobMagic = 0x31444C50;      // "PLD1" little-endian
+constexpr uint32_t kMog1BlobMagic = 0x31474F4D;  // "MOG1" little-endian
 constexpr uint64_t kMaxEntries = 1u << 20;
 
-/// CDF of the dominating distribution P = (1−q)N(0,σ²) + qN(1,σ²).
-double UpperCdf(double q, double sigma, double x) {
-  return (1.0 - q) * StdNormalCdf(x / sigma) +
-         q * StdNormalCdf((x - 1.0) / sigma);
+/// MOG1 entry scheme bytes.
+constexpr uint8_t kMog1Poisson = 1;
+constexpr uint8_t kMog1FixedBatch = 2;
+
+/// CDF of the dominating distribution P = (1−p)N(0,σ²) + pN(1,σ²).
+double UpperCdf(double p, double sigma, double x) {
+  return (1.0 - p) * StdNormalCdf(x / sigma) +
+         p * StdNormalCdf((x - 1.0) / sigma);
 }
 
 /// x achieving privacy loss s: the inverse of the strictly increasing
-/// L(x) = log(1−q+q·e^{(2x−1)/(2σ²)}). −infinity when no x reaches s
-/// (s ≤ log(1−q), the loss function's infimum).
-double LossInverse(double q, double sigma, double s) {
-  const double shifted = std::exp(s) - (1.0 - q);
+/// L(x) = log(1−p+p·e^{(2x−1)/(2σ²)}). −infinity when no x reaches s
+/// (s ≤ log(1−p), the loss function's infimum).
+double LossInverse(double p, double sigma, double s) {
+  const double shifted = std::exp(s) - (1.0 - p);
   if (shifted <= 0.0) return -std::numeric_limits<double>::infinity();
-  return 0.5 + sigma * sigma * std::log(shifted / q);
+  return 0.5 + sigma * sigma * std::log(shifted / p);
+}
+
+Status ValidateEntry(const PldEntry& entry) {
+  if (!(entry.participation_probability > 0.0) ||
+      entry.participation_probability > 1.0) {
+    return InvalidArgumentError("sampling probability must be in (0, 1]");
+  }
+  if (!(entry.noise_multiplier > 0.0)) {
+    return InvalidArgumentError("noise multiplier must be > 0");
+  }
+  if (entry.steps <= 0) return InvalidArgumentError("steps must be > 0");
+  return Status::Ok();
+}
+
+/// One PLD1 entry: (p, σ, steps).
+Result<PldEntry> ReadPld1Entry(ByteReader& reader) {
+  PldEntry entry;
+  PLP_ASSIGN_OR_RETURN(entry.participation_probability, reader.F64());
+  PLP_ASSIGN_OR_RETURN(entry.noise_multiplier, reader.F64());
+  PLP_ASSIGN_OR_RETURN(entry.steps, reader.I64());
+  return entry;
+}
+
+/// One MOG1 entry: (scheme, ratio, B, N, σ, ω, steps). p is the ratio q
+/// of a Poisson entry and B/N of a fixed-batch one, whose recorded ratio
+/// is informational only. ω does not enter ε; it is range-checked as the
+/// mog accountant always did.
+Result<PldEntry> ReadMog1Entry(ByteReader& reader) {
+  PLP_ASSIGN_OR_RETURN(const uint8_t scheme, reader.U8());
+  if (scheme != kMog1Poisson && scheme != kMog1FixedBatch) {
+    return InvalidArgumentError("MOG1 blob: unknown sampling scheme");
+  }
+  PldEntry entry;
+  PLP_ASSIGN_OR_RETURN(const double ratio, reader.F64());
+  PLP_ASSIGN_OR_RETURN(const int64_t batch_size, reader.I64());
+  PLP_ASSIGN_OR_RETURN(const int64_t population, reader.I64());
+  PLP_ASSIGN_OR_RETURN(entry.noise_multiplier, reader.F64());
+  PLP_ASSIGN_OR_RETURN(const int32_t split_factor, reader.I32());
+  PLP_ASSIGN_OR_RETURN(entry.steps, reader.I64());
+  if (split_factor < 1 || split_factor > kMogMaxSplitFactor) {
+    return InvalidArgumentError("MOG1 blob: split factor must be in [1, 64]");
+  }
+  if (scheme == kMog1Poisson) {
+    entry.participation_probability = ratio;
+    return entry;
+  }
+  if (population < 1 || batch_size < 1 || batch_size > population) {
+    return InvalidArgumentError(
+        "MOG1 blob: fixed batch requires 1 <= batch_size <= population");
+  }
+  entry.participation_probability =
+      static_cast<double>(batch_size) / static_cast<double>(population);
+  return entry;
 }
 
 }  // namespace
@@ -43,60 +102,44 @@ PldAccountant::PldAccountant(double delta, const PldOptions& options)
   PLP_CHECK_GT(options_.grid_range, 0.0);
 }
 
-Status PldAccountant::AddSteps(double q, double sigma, int64_t steps) {
-  if (!(q > 0.0) || q > 1.0) {
-    return InvalidArgumentError("sampling probability must be in (0, 1]");
-  }
-  if (!(sigma > 0.0)) {
-    return InvalidArgumentError("noise multiplier must be > 0");
-  }
-  if (steps <= 0) return InvalidArgumentError("steps must be > 0");
-  if (!entries_.empty() && entries_.back().sampling_probability == q &&
+Status PldAccountant::AddSteps(double p, double sigma, int64_t steps) {
+  PLP_RETURN_IF_ERROR(ValidateEntry({p, sigma, steps}));
+  if (!entries_.empty() && entries_.back().participation_probability == p &&
       entries_.back().noise_multiplier == sigma) {
     entries_.back().steps += steps;
   } else {
-    entries_.push_back({q, sigma, steps});
+    entries_.push_back({p, sigma, steps});
   }
   total_steps_ += steps;
   return Status::Ok();
 }
 
-const PldAccountant::StepPld& PldAccountant::StepPldFor(double q,
+const PldAccountant::StepPld& PldAccountant::StepPldFor(double p,
                                                         double sigma) const {
   for (const StepPld& cached : step_cache_) {
-    if (cached.q == q && cached.sigma == sigma) return cached;
+    if (cached.p == p && cached.sigma == sigma) return cached;
   }
   const size_t n = static_cast<size_t>(1) << options_.log2_grid_size;
   const double range = options_.grid_range;
   const double width = 2.0 * range / static_cast<double>(n);
 
   StepPld pld;
-  pld.q = q;
+  pld.p = p;
   pld.sigma = sigma;
   // Loss-ordered bin t (t = 0 … n−1) holds the P-mass of losses in
   // (s_t − Δ, s_t] with right edge s_t = −R + (t+1)·Δ — mass rounds *up*
   // to the edge, so every bin's contribution to δ(ε) is over- rather than
-  // under-counted. Mass below the grid lumps into bin t = 0 (also
-  // rounding up); mass above it is the truncated tail that contributes to
-  // δ in full.
-  //
-  // The bin is *stored* at FFT wrap-around index (t + n/2 + 1) mod n, so
-  // that array index i represents loss i·Δ (negative losses in the top
-  // half). With that convention index sums equal loss sums and circular
-  // convolution composes losses with no origin offset; binning losses at
-  // −R + (t+1)·Δ directly by t would instead shift every composition's
-  // origin by (k−1)·(R − Δ) (mod 2R) after k steps.
+  // under-counted. The running CDF starts at 0, so mass below the grid
+  // lumps into bin t = 0 (also rounding up); mass above it is the
+  // truncated tail that contributes to δ in full. Bins are stored at
+  // their FFT wrap-around index (see pld_grid::WrapIndex).
   std::vector<std::complex<double>> pmf(n, {0.0, 0.0});
-  // The running CDF starts at 0, so everything at or below the grid's
-  // bottom edge rounds up into the lowest loss bin along with its own
-  // mass.
   double previous_cdf = 0.0;
   for (size_t t = 0; t < n; ++t) {
     const double edge = -range + static_cast<double>(t + 1) * width;
-    const double x = LossInverse(q, sigma, edge);
-    const double cdf = std::isinf(x) ? 0.0 : UpperCdf(q, sigma, x);
-    const size_t raw = (t + n / 2 + 1) % n;
-    pmf[raw] = {std::max(0.0, cdf - previous_cdf), 0.0};
+    const double x = LossInverse(p, sigma, edge);
+    const double cdf = std::isinf(x) ? 0.0 : UpperCdf(p, sigma, x);
+    pmf[WrapIndex(t, n)] = {std::max(0.0, cdf - previous_cdf), 0.0};
     previous_cdf = std::max(cdf, previous_cdf);
   }
   pld.inf_mass = std::max(0.0, 1.0 - previous_cdf);
@@ -113,7 +156,7 @@ void PldAccountant::Compose(std::vector<double>& pmf,
   double finite_fraction = 1.0;
   for (const PldEntry& entry : entries_) {
     const StepPld& step =
-        StepPldFor(entry.sampling_probability, entry.noise_multiplier);
+        StepPldFor(entry.participation_probability, entry.noise_multiplier);
     for (size_t i = 0; i < n; ++i) {
       composed[i] *= IntPow(step.dft[i], entry.steps);
     }
@@ -130,11 +173,10 @@ void PldAccountant::Compose(std::vector<double>& pmf,
     return;
   }
   Fft(composed, /*inverse=*/true);
-  // Rotate from FFT wrap-around order back to loss-ascending order (see
-  // StepPldFor): loss-ordered bin t lives at raw index (t + n/2 + 1) mod n.
+  // Rotate from FFT wrap-around order back to loss-ascending order.
   pmf.resize(n);
   for (size_t t = 0; t < n; ++t) {
-    pmf[t] = std::max(0.0, composed[(t + n / 2 + 1) % n].real());
+    pmf[t] = std::max(0.0, composed[WrapIndex(t, n)].real());
   }
 }
 
@@ -162,15 +204,16 @@ void PldAccountant::SaveState(ByteWriter& writer) const {
   writer.F64(options_.grid_range);
   writer.U64(static_cast<uint64_t>(entries_.size()));
   for (const PldEntry& entry : entries_) {
-    writer.F64(entry.sampling_probability);
+    writer.F64(entry.participation_probability);
     writer.F64(entry.noise_multiplier);
     writer.I64(entry.steps);
   }
 }
 
 Result<PldAccountant> PldAccountant::Restore(ByteReader& reader) {
+  // PLD1 and MOG1 share the header; only the entry layout differs.
   PLP_ASSIGN_OR_RETURN(const uint32_t magic, reader.U32());
-  if (magic != kBlobMagic) {
+  if (magic != kBlobMagic && magic != kMog1BlobMagic) {
     return InvalidArgumentError("not a PLD accountant blob");
   }
   PLP_ASSIGN_OR_RETURN(const double delta, reader.F64());
@@ -190,10 +233,15 @@ Result<PldAccountant> PldAccountant::Restore(ByteReader& reader) {
   }
   PldAccountant accountant(delta, options);
   for (uint64_t i = 0; i < count; ++i) {
-    PLP_ASSIGN_OR_RETURN(const double q, reader.F64());
-    PLP_ASSIGN_OR_RETURN(const double sigma, reader.F64());
-    PLP_ASSIGN_OR_RETURN(const int64_t steps, reader.I64());
-    PLP_RETURN_IF_ERROR(accountant.AddSteps(q, sigma, steps));
+    PLP_ASSIGN_OR_RETURN(const PldEntry entry, magic == kBlobMagic
+                                                   ? ReadPld1Entry(reader)
+                                                   : ReadMog1Entry(reader));
+    PLP_RETURN_IF_ERROR(ValidateEntry(entry));
+    // Verbatim, not coalesced: two MOG1 entries that differed only in ω
+    // or scheme map to equal (p, σ), and merging their powers would move
+    // ε's last bits.
+    accountant.entries_.push_back(entry);
+    accountant.total_steps_ += entry.steps;
   }
   return accountant;
 }

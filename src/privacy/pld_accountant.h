@@ -10,38 +10,56 @@
 #include "privacy/pld_grid.h"
 
 namespace plp::privacy {
-// PldOptions (the loss-grid discretization knobs) lives in
-// privacy/pld_grid.h, shared with the MoG accountant.
 
-/// One coalesced run of identical subsampled-Gaussian steps.
+/// Upper bound on the split factor ω under --accountant=mog. ε does not
+/// depend on ω (see PldAccountant), but the "mog" spelling has always
+/// refused larger ω: PlpConfig::Validate rejects it before corpus
+/// loading, the mog Accountant stage rejects such rounds, and restoring a
+/// legacy MOG1 blob rejects entries outside [1, kMogMaxSplitFactor].
+inline constexpr int32_t kMogMaxSplitFactor = 64;
+
+/// One coalesced run of identical subsampled-Gaussian rounds.
 struct PldEntry {
-  double sampling_probability = 0.0;  ///< q
-  double noise_multiplier = 0.0;      ///< σ (relative to sensitivity)
+  double participation_probability = 0.0;  ///< p
+  double noise_multiplier = 0.0;  ///< σ relative to the joint sensitivity
   int64_t steps = 0;
 };
 
-/// Privacy-loss-distribution accountant for the Poisson-subsampled
-/// Gaussian mechanism under remove-adjacency: the dominating pair is
-/// P = (1−q)·N(0,σ²) + q·N(1,σ²) against Q = N(0,σ²), whose privacy loss
-/// at sample x is L(x) = log(1−q+q·e^{(2x−1)/(2σ²)}). The PLD (the
-/// distribution of L(x), x ~ P) is discretized once per distinct (q, σ)
-/// and composed across steps via DFT pointwise powers; δ(ε) is then the
-/// standard tail functional Σ_{s>ε} PLD(s)·(1−e^{ε−s}) plus the truncated
-/// mass. Tighter than the RDP moments accountant at equal (q, σ, δ) —
-/// typically by 25–40% in ε over hundreds of steps.
+/// Privacy-loss-distribution accountant for the subsampled Gaussian
+/// mechanism under remove-adjacency (Koskela et al., arXiv:1906.03049).
+/// The dominating pair is
 ///
-/// This backs the pipeline's "pld_fft" Accountant stage (the plug-in seam
-/// proof for plp::pipeline); the RDP ledger remains the default.
+///   P = (1−p)·N(0, σ²) + p·N(1, σ²)   vs   Q = N(0, σ²),
+///
+/// with p the protected user's per-round participation probability and σ
+/// the noise multiplier relative to the joint sensitivity ω·C, so the
+/// shift is 1 at every ω. The pipeline samples whole users and places all
+/// ω parts of every sampled user into the round, so participation is
+/// all-or-nothing: p = q under Poisson sampling, and p = B/N when exactly
+/// B of the N users are drawn without replacement (the marginal of the
+/// Hypergeometric(N, 1, B) draw; the Mixture-of-Gaussians reduction of
+/// Ganesh, arXiv:2401.10294, collapses to this pair). The privacy loss at
+/// sample x is L(x) = log(1−p+p·e^{(2x−1)/(2σ²)}). The PLD (the
+/// distribution of L(x), x ~ P) is discretized once per distinct (p, σ)
+/// on the pessimistic grid of privacy/pld_grid.h and composed across
+/// rounds via DFT pointwise powers; δ(ε) is then the tail functional
+/// Σ_{s>ε} PLD(s)·(1−e^{ε−s}) plus the truncated mass. Tighter than the
+/// RDP moments accountant at equal (q, σ, δ) — typically by 25–40% in ε
+/// over hundreds of steps.
+///
+/// This backs both PLD spellings of the pipeline's Accountant stage:
+/// "pld_fft" (Poisson rounds only) and "mog" (Poisson and fixed-batch
+/// rounds). The RDP ledger remains the default.
 class PldAccountant {
  public:
   /// `delta` is the fixed δ of the (ε, δ) guarantee, in (0, 1). Aborts on
   /// out-of-range δ or degenerate grid options.
   explicit PldAccountant(double delta, const PldOptions& options = {});
 
-  /// Accumulates `steps` steps with sampling probability `q` in (0, 1]
-  /// and noise multiplier `sigma` > 0. Consecutive identical (q, σ) runs
-  /// coalesce into one entry.
-  Status AddSteps(double q, double sigma, int64_t steps);
+  /// Accumulates `steps` rounds with participation probability `p` in
+  /// (0, 1] and noise multiplier `sigma` > 0. Consecutive identical
+  /// (p, σ) runs coalesce into one entry.
+  Status AddSteps(double p, double sigma, int64_t steps);
 
   /// Smallest grid-resolvable ε such that the composition so far is
   /// (ε, δ)-DP under this discretization. 0 before any step; +infinity if
@@ -55,23 +73,27 @@ class PldAccountant {
   int64_t total_steps() const { return total_steps_; }
   const std::vector<PldEntry>& entries() const { return entries_; }
 
-  /// Serializes δ, the grid options, and the coalesced entries. The PLD
-  /// discretizations are deterministic functions of those, so a restored
-  /// accountant answers CumulativeEpsilon bit-identically. The blob is
-  /// tagged, so restoring an RDP-ledger blob here (or vice versa) fails
-  /// instead of misparsing.
+  /// Serializes δ, the grid options, and the coalesced entries under the
+  /// "PLD1" tag. The PLD discretizations are deterministic functions of
+  /// those, so a restored accountant answers CumulativeEpsilon
+  /// bit-identically. Restore takes the entries verbatim and also reads
+  /// the "MOG1" blobs that --accountant=mog checkpoints carried before it
+  /// shared this accountant: each MOG1 entry becomes one entry at p = q
+  /// (Poisson) or p = B/N (fixed batch), so the restored ε is the one
+  /// certified when the blob was written. Any other tag (an RDP ledger
+  /// blob, say) fails instead of misparsing.
   void SaveState(ByteWriter& writer) const;
   static Result<PldAccountant> Restore(ByteReader& reader);
 
  private:
   struct StepPld {
-    double q = 0.0;
+    double p = 0.0;
     double sigma = 0.0;
-    std::vector<std::complex<double>> dft;  ///< DFT of one step's PLD
+    std::vector<std::complex<double>> dft;  ///< DFT of one round's PLD
     double inf_mass = 0.0;                  ///< P[L(x) > grid_range]
   };
 
-  const StepPld& StepPldFor(double q, double sigma) const;
+  const StepPld& StepPldFor(double p, double sigma) const;
   /// Composed PLD over all entries: the finite grid part and the total
   /// truncated mass. Empty composition → point mass at loss 0.
   void Compose(std::vector<double>& pmf, double& inf_mass) const;

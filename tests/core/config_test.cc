@@ -28,6 +28,11 @@ struct BadConfigCase {
   std::function<void(PlpConfig&)> mutate;
 };
 
+// gtest prints a parameter it has no printer for as raw bytes, and the
+// ctest name embeds that text; the name pointer's bytes would change with
+// every process (ASLR). Print the case name instead.
+void PrintTo(const BadConfigCase& c, std::ostream* os) { *os << c.name; }
+
 class PlpConfigValidationTest : public testing::TestWithParam<BadConfigCase> {
 };
 
@@ -125,7 +130,7 @@ TEST(PlpConfigTest, CollectsPairingViolationWithOthers) {
       << status.message();
 }
 
-/// MogAccountant::AddRounds rejects ω > 64; Validate() must catch the
+/// The mog Accountant stage rejects ω > 64; Validate() must catch the
 /// same bound up front (naming it) so a --accountant=mog run fails before
 /// corpus loading instead of at the first TrackRound.
 TEST(PlpConfigTest, RejectsMogAboveMaxSplitFactor) {

@@ -190,6 +190,11 @@ struct BadConfigCase {
   SyntheticConfig config;
 };
 
+// gtest prints a parameter it has no printer for as raw bytes, and the
+// ctest name embeds that text; the name pointer's bytes would change with
+// every process (ASLR). Print the case name instead.
+void PrintTo(const BadConfigCase& c, std::ostream* os) { *os << c.name; }
+
 class GeneratorValidationTest
     : public testing::TestWithParam<BadConfigCase> {};
 

@@ -156,6 +156,15 @@ inline std::vector<PrivateVariant> PrivateVariants() {
     c.sampling_scheme = core::SamplingScheme::kFixedBatch;
     variants.push_back({"mog_fixed_batch", c});
   }
+  {
+    // The FFT privacy-loss-distribution accountant that the paper
+    // defaults and the train_publish benchmark run. Same sampling as
+    // "default", so the model CRC equals that pin's; same dominating
+    // pair as "mog", so the ε trajectory equals that pin's.
+    core::PlpConfig c = GoldenPrivateBase();
+    c.accountant = "pld_fft";
+    variants.push_back({"pld_fft", c});
+  }
   return variants;
 }
 

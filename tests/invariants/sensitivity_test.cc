@@ -34,6 +34,7 @@
 #include "core/config.h"
 #include "core/grouping.h"
 #include "data/corpus.h"
+#include "pipeline/standard_stages.h"
 #include "sgns/model.h"
 #include "sgns/sparse_delta.h"
 #include "support/fixtures.h"
@@ -64,6 +65,22 @@ sgns::SgnsModel MakeModel(int32_t num_locations, const PlpConfig& config,
   return *std::move(model);
 }
 
+// One bucket's clipped delta through the LocalUpdater and DeltaClipper
+// stages that PlpTrainer runs (Algorithm 1 lines 15–21). The configs here
+// draw uniform negatives, so the updater needs no Prepare().
+sgns::SparseDelta ClippedBucketDelta(pipeline::StageSet& stages,
+                                     const sgns::SgnsModel& theta,
+                                     const Bucket& bucket,
+                                     const PlpConfig& config,
+                                     int32_t num_locations, Rng& bucket_rng) {
+  sgns::SparseDelta delta(config.sgns.embedding_dim);
+  stages.updater->ComputeDelta(theta, bucket, num_locations, bucket_rng,
+                               /*loss_out=*/nullptr, /*scratch=*/nullptr,
+                               delta);
+  stages.clipper->Clip(delta);
+  return delta;
+}
+
 // The pre-noise Gaussian sum query: Σ over buckets of the clipped bucket
 // delta, each bucket trained on its content-keyed RNG (exactly what
 // PlpTrainer::Train does per step).
@@ -72,12 +89,13 @@ sgns::DenseUpdate SumClippedDeltas(const sgns::SgnsModel& theta,
                                    const PlpConfig& config,
                                    int32_t num_locations,
                                    uint64_t step_seed) {
+  pipeline::StageSet stages = pipeline::MakePrivateStages(config);
   sgns::DenseUpdate sum(theta);
   for (const Bucket& bucket : buckets) {
     if (bucket.sentences.empty()) continue;
     Rng bucket_rng(BucketSeed(step_seed, bucket));
-    const sgns::SparseDelta delta =
-        ComputeBucketUpdate(theta, bucket, config, num_locations, bucket_rng);
+    const sgns::SparseDelta delta = ClippedBucketDelta(
+        stages, theta, bucket, config, num_locations, bucket_rng);
     delta.AccumulateInto(sum, 1.0);
   }
   return sum;
@@ -155,11 +173,12 @@ TEST(SensitivityTest, BucketDeltaNormNeverExceedsClip) {
     const std::vector<Bucket> buckets =
         BuildBuckets(corpus, sampled, config, rng);
     ASSERT_FALSE(buckets.empty());
+    pipeline::StageSet stages = pipeline::MakePrivateStages(config);
     double max_norm = 0.0;
     for (const Bucket& bucket : buckets) {
       Rng bucket_rng(BucketSeed(rng.NextU64(), bucket));
-      const sgns::SparseDelta delta = ComputeBucketUpdate(
-          model, bucket, config, corpus.num_locations, bucket_rng);
+      const sgns::SparseDelta delta = ClippedBucketDelta(
+          stages, model, bucket, config, corpus.num_locations, bucket_rng);
       const double norm = delta.TotalNorm();
       EXPECT_LE(norm, config.clip_norm + kTol);
       max_norm = std::max(max_norm, norm);

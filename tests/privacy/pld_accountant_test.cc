@@ -1,7 +1,9 @@
 #include "privacy/pld_accountant.h"
 
 #include <cmath>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -41,6 +43,17 @@ TEST(PldAccountantTest, EpsilonIncreasesWithSteps) {
     const double eps = pld.CumulativeEpsilon();
     EXPECT_GT(eps, previous) << "after " << (round + 1) * 25 << " steps";
     EXPECT_TRUE(std::isfinite(eps));
+    previous = eps;
+  }
+}
+
+TEST(PldAccountantTest, EpsilonDecreasesInSigma) {
+  double previous = std::numeric_limits<double>::infinity();
+  for (double sigma : {1.0, 1.5, 2.0, 3.0}) {
+    PldAccountant pld(kDelta);
+    ASSERT_TRUE(pld.AddSteps(0.1, sigma, 50).ok());
+    const double eps = pld.CumulativeEpsilon();
+    EXPECT_LT(eps, previous) << "sigma=" << sigma;
     previous = eps;
   }
 }
@@ -164,6 +177,113 @@ TEST(PldAccountantTest, RejectsForeignAndTruncatedBlobs) {
     blob.resize(blob.size() / 2);  // truncate mid-entry
     ByteReader reader(blob);
     EXPECT_FALSE(PldAccountant::Restore(reader).ok());
+  }
+}
+
+/// One entry of the MOG1 layout that --accountant=mog checkpoints carried
+/// before that spelling shared PldAccountant: scheme byte (1 Poisson,
+/// 2 fixed batch), recorded ratio, B, N, σ, ω, steps.
+struct Mog1Entry {
+  uint8_t scheme = 1;
+  double ratio = 0.0;
+  int64_t batch_size = 0;
+  int64_t population = 0;
+  double sigma = 0.0;
+  int32_t omega = 1;
+  int64_t steps = 0;
+};
+
+std::string Mog1Blob(const std::vector<Mog1Entry>& entries) {
+  ByteWriter writer;
+  writer.U32(0x31474F4D);  // "MOG1" little-endian
+  writer.F64(kDelta);
+  writer.I32(PldOptions{}.log2_grid_size);
+  writer.F64(PldOptions{}.grid_range);
+  writer.U64(entries.size());
+  for (const Mog1Entry& entry : entries) {
+    writer.U8(entry.scheme);
+    writer.F64(entry.ratio);
+    writer.I64(entry.batch_size);
+    writer.I64(entry.population);
+    writer.F64(entry.sigma);
+    writer.I32(entry.omega);
+    writer.I64(entry.steps);
+  }
+  return writer.Take();
+}
+
+/// A Poisson run at ω = 2 and a fixed-batch run at ω = 4 whose recorded
+/// ratio (the configured q = 0.061) differs from B/N = 12/200, as the mog
+/// stage wrote it. The pinned ε is what the mog accountant computed for
+/// these exact bytes before it shared PldAccountant; the fixed-batch run
+/// must be accounted at p = B/N.
+TEST(PldAccountantTest, RestoresMog1BlobToTheEpsilonItCertified) {
+  const std::string blob = Mog1Blob({
+      {.scheme = 1, .ratio = 0.06, .sigma = 2.5, .omega = 2, .steps = 120},
+      {.scheme = 2, .ratio = 0.061, .batch_size = 12, .population = 200,
+       .sigma = 1.8, .omega = 4, .steps = 40},
+  });
+  ByteReader reader(blob);
+  auto restored = PldAccountant::Restore(reader);
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_EQ(restored->delta(), kDelta);
+  EXPECT_EQ(restored->total_steps(), 160);
+  EXPECT_EQ(restored->CumulativeEpsilon(), 0x1.a341f30e8b517p+0);
+
+  // The same rounds tracked afresh at p = q and p = B/N: same bits.
+  PldAccountant fresh(kDelta);
+  ASSERT_TRUE(fresh.AddSteps(0.06, 2.5, 120).ok());
+  ASSERT_TRUE(fresh.AddSteps(12.0 / 200.0, 1.8, 40).ok());
+  EXPECT_EQ(fresh.CumulativeEpsilon(), restored->CumulativeEpsilon());
+
+  // Re-saved, the blob is PLD1 and restores to the same ε again.
+  ByteWriter writer;
+  restored->SaveState(writer);
+  const std::string pld1 = writer.Take();
+  ByteReader pld1_reader(pld1);
+  auto again = PldAccountant::Restore(pld1_reader);
+  ASSERT_TRUE(again.ok()) << again.status().message();
+  EXPECT_EQ(again->CumulativeEpsilon(), restored->CumulativeEpsilon());
+}
+
+TEST(PldAccountantTest, RejectsMalformedMog1Blobs) {
+  const Mog1Entry poisson{.ratio = 0.1, .sigma = 1.5, .omega = 2, .steps = 3};
+  const Mog1Entry fixed{.scheme = 2, .ratio = 0.1, .batch_size = 5,
+                        .population = 50, .sigma = 1.5, .omega = 2,
+                        .steps = 3};
+  {
+    const std::string blob = Mog1Blob({poisson, fixed});
+    ByteReader reader(blob);  // a view: the blob must outlive it
+    ASSERT_TRUE(PldAccountant::Restore(reader).ok());
+  }
+  {
+    std::string blob = Mog1Blob({poisson, fixed});
+    blob.resize(blob.size() - 5);  // truncate mid-entry
+    ByteReader reader(blob);
+    EXPECT_FALSE(PldAccountant::Restore(reader).ok());
+  }
+  const auto rejected = [](const Mog1Entry& entry) {
+    const std::string blob = Mog1Blob({entry});
+    ByteReader reader(blob);
+    return !PldAccountant::Restore(reader).ok();
+  };
+  Mog1Entry bad = poisson;
+  bad.scheme = 3;
+  EXPECT_TRUE(rejected(bad)) << "unknown scheme byte";
+  bad = fixed;
+  bad.batch_size = 0;
+  EXPECT_TRUE(rejected(bad)) << "B < 1";
+  bad = fixed;
+  bad.batch_size = 51;
+  EXPECT_TRUE(rejected(bad)) << "B > N";
+  for (const int32_t omega : {0, kMogMaxSplitFactor + 1}) {
+    bad = poisson;
+    bad.omega = omega;
+    EXPECT_TRUE(rejected(bad)) << "omega=" << omega;
+    bad = fixed;
+    bad.omega = omega;
+    EXPECT_TRUE(rejected(bad)) << "fixed batch, omega=" << omega;
   }
 }
 
