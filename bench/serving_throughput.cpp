@@ -165,7 +165,7 @@ double MeasureCapacity(plp::serve::ShardedServingEngine& engine,
          elapsed;
 }
 
-/// Open-loop segment: fixed-rate arrivals via SubmitAsync. Latency is
+/// Open-loop segment: fixed-rate arrivals via SubmitAsyncBatch. Latency is
 /// measured from each request's *scheduled* arrival (stamped into
 /// Request::arrival, which Finish uses as the latency start), so a tier
 /// that falls behind pays the queueing delay in its quantiles instead of

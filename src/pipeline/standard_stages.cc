@@ -252,8 +252,22 @@ class LedgerAccountant final : public Accountant {
   }
 
   Status RestoreBlob(const std::string& blob, int64_t step) override {
-    PLP_ASSIGN_OR_RETURN(ledger_, RestoreLedger<privacy::PrivacyLedger>(
-                                      blob, config_.delta, step));
+    auto restored =
+        RestoreLedger<privacy::PrivacyLedger>(blob, config_.delta, step);
+    if (!restored.ok()) {
+      // The RDP blob is untagged, so a foreign blob fails at whichever
+      // field its bytes trip first. Name the PLD accountant's blobs; the
+      // check runs only once the RDP parse has failed, so it can never
+      // refuse a valid RDP blob.
+      ByteReader reader(blob);
+      if (privacy::PldAccountant::Restore(reader).ok()) {
+        return InvalidArgumentError(
+            "checkpoint ledger was written by the PLD accountant "
+            "(pld_fft/mog), not rdp");
+      }
+      return restored.status();
+    }
+    ledger_ = std::move(restored).value();
     return Status::Ok();
   }
 

@@ -78,8 +78,6 @@ void Metrics::MergeFrom(const Metrics& other) {
   acc(requests_deadline_exceeded, other.requests_deadline_exceeded);
   acc(requests_no_model, other.requests_no_model);
   acc(requests_overloaded, other.requests_overloaded);
-  acc(batches, other.batches);
-  acc(batched_requests, other.batched_requests);
   acc(model_swaps, other.model_swaps);
   acc(protocol_errors, other.protocol_errors);
   acc(requests_f32, other.requests_f32);
@@ -126,9 +124,6 @@ void Metrics::PrintTable(std::ostream& os) const {
   add("requests_f32", requests_f32.load(std::memory_order_relaxed));
   add("requests_fp16", requests_fp16.load(std::memory_order_relaxed));
   add("requests_int8", requests_int8.load(std::memory_order_relaxed));
-  add("batches", batches.load(std::memory_order_relaxed));
-  add("batched_requests",
-      batched_requests.load(std::memory_order_relaxed));
   add("model_swaps", model_swaps.load(std::memory_order_relaxed));
   add("latency_p50_us_le", latency.QuantileUpperBoundMicros(0.50));
   add("latency_p95_us_le", latency.QuantileUpperBoundMicros(0.95));

@@ -61,8 +61,6 @@ class Metrics {
   std::atomic<uint64_t> requests_deadline_exceeded{0};
   std::atomic<uint64_t> requests_no_model{0};  ///< nothing published yet
   std::atomic<uint64_t> requests_overloaded{0};  ///< shed: queue was full
-  std::atomic<uint64_t> batches{0};       ///< micro-batches executed
-  std::atomic<uint64_t> batched_requests{0};  ///< requests inside batches
   std::atomic<uint64_t> model_swaps{0};
   /// Successful recommendations broken out by the snapshot format that
   /// scored them (f32 / fp16 / int8) — sums to requests_ok. Makes a

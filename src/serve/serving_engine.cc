@@ -1,7 +1,6 @@
 #include "serve/serving_engine.h"
 
 #include <algorithm>
-#include <latch>
 #include <utility>
 
 #include "common/fault_injection.h"
@@ -34,7 +33,6 @@ ServingEngine::ServingEngine(const ServingConfig& config)
       sessions_(config.sessions),
       pool_(static_cast<size_t>(std::max(config.num_threads, 1))) {
   config_.num_threads = std::max(config.num_threads, 1);
-  config_.max_batch = std::max(config.max_batch, 1);
 }
 
 Status ServingEngine::PublishModel(const sgns::SgnsModel& model,
@@ -204,36 +202,6 @@ Response ServingEngine::Recommend(const Request& request) {
                 ResolveArrival(request, now));
 }
 
-std::vector<Response> ServingEngine::RecommendBatch(
-    std::vector<Request> requests) {
-  const size_t n = requests.size();
-  std::vector<Response> responses(n);
-  if (n == 0) return responses;
-  const size_t batch = static_cast<size_t>(config_.max_batch);
-  const size_t num_batches = (n + batch - 1) / batch;
-  std::latch done(static_cast<ptrdiff_t>(num_batches));
-
-  for (size_t begin = 0; begin < n; begin += batch) {
-    const size_t end = std::min(n, begin + batch);
-    pool_.Schedule([this, &requests, &responses, &done, begin, end] {
-      // One snapshot load and one clock read cover the whole micro-batch.
-      const Clock::time_point now = Clock::now();
-      const std::shared_ptr<const ModelSnapshot> snapshot =
-          registry_.Current();
-      for (size_t i = begin; i < end; ++i) {
-        responses[i] = Finish(Execute(requests[i], snapshot, now),
-                              ResolveArrival(requests[i], now));
-      }
-      metrics_.batches.fetch_add(1, std::memory_order_relaxed);
-      metrics_.batched_requests.fetch_add(end - begin,
-                                          std::memory_order_relaxed);
-      done.count_down();
-    });
-  }
-  done.wait();
-  return responses;
-}
-
 std::vector<std::future<Response>> ServingEngine::SubmitAsyncBatch(
     std::vector<Request> requests) {
   const Clock::time_point submitted = Clock::now();
@@ -245,6 +213,10 @@ std::vector<std::future<Response>> ServingEngine::SubmitAsyncBatch(
     if (request.arrival == Clock::time_point{}) request.arrival = submitted;
     auto promise = std::make_shared<std::promise<Response>>();
     futures.push_back(promise->get_future());
+    // Admission control: shed instead of queueing without bound. The
+    // rejection is immediate (never enters the pool) so an overloaded
+    // engine answers RESOURCE_EXHAUSTED in microseconds rather than timing
+    // every excess request out at its deadline.
     if (config_.max_queue > 0) {
       const int64_t in_flight =
           async_in_flight_.fetch_add(1, std::memory_order_acq_rel);
@@ -259,12 +231,8 @@ std::vector<std::future<Response>> ServingEngine::SubmitAsyncBatch(
       }
     }
     tasks.push_back([this, request = std::move(request),
-                     promise = std::move(promise)]() mutable {
-      const Clock::time_point now = Clock::now();
-      const std::shared_ptr<const ModelSnapshot> snapshot =
-          registry_.Current();
-      promise->set_value(Finish(Execute(request, snapshot, now),
-                                request.arrival));
+                     promise = std::move(promise)] {
+      promise->set_value(Recommend(request));
       if (config_.max_queue > 0) {
         async_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
       }
@@ -272,41 +240,6 @@ std::vector<std::future<Response>> ServingEngine::SubmitAsyncBatch(
   }
   pool_.ScheduleAll(tasks);
   return futures;
-}
-
-std::future<Response> ServingEngine::SubmitAsync(Request request) {
-  const Clock::time_point submitted = Clock::now();
-  if (request.arrival == Clock::time_point{}) request.arrival = submitted;
-  auto promise = std::make_shared<std::promise<Response>>();
-  std::future<Response> future = promise->get_future();
-
-  // Admission control: shed instead of queueing without bound. The
-  // rejection is immediate (never enters the pool) so an overloaded
-  // engine answers OVERLOADED in microseconds rather than timing every
-  // excess request out at its deadline.
-  if (config_.max_queue > 0) {
-    const int64_t in_flight =
-        async_in_flight_.fetch_add(1, std::memory_order_acq_rel);
-    if (in_flight >= config_.max_queue) {
-      async_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-      Response shed;
-      shed.status = ResourceExhaustedError(
-          "overloaded: " + std::to_string(in_flight) +
-          " requests already queued");
-      promise->set_value(Finish(std::move(shed), request.arrival));
-      return future;
-    }
-  }
-  pool_.Schedule([this, request = std::move(request), promise]() mutable {
-    const Clock::time_point now = Clock::now();
-    const std::shared_ptr<const ModelSnapshot> snapshot = registry_.Current();
-    promise->set_value(Finish(Execute(request, snapshot, now),
-                              request.arrival));
-    if (config_.max_queue > 0) {
-      async_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    }
-  });
-  return future;
 }
 
 }  // namespace plp::serve

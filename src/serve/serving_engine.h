@@ -48,12 +48,11 @@ struct Response {
 
 struct ServingConfig {
   int32_t num_threads = 4;      ///< worker pool size (min 1)
-  int32_t max_batch = 32;       ///< micro-batch size cap (min 1)
-  /// Async admission bound: SubmitAsync sheds (ResourceExhausted, counted
-  /// as requests_overloaded) once this many submissions are in flight
-  /// instead of queueing without limit. 0 disables shedding. Synchronous
-  /// Recommend/RecommendBatch apply caller backpressure by blocking, so
-  /// they are not shed.
+  /// Async admission bound: SubmitAsyncBatch sheds (ResourceExhausted,
+  /// counted as requests_overloaded) once this many submissions are in
+  /// flight instead of queueing without limit. 0 disables shedding.
+  /// Synchronous Recommend applies caller backpressure by blocking, so it
+  /// is never shed.
   int32_t max_queue = 1024;
   SessionStore::Options sessions;
   /// How PublishModel/PublishFile build snapshots (format, IVF index).
@@ -70,10 +69,10 @@ struct ServingConfig {
 ///
 /// Concurrency model: every request pins the current snapshot for exactly
 /// the duration of its scoring, so `registry().Publish` hot-swaps take
-/// effect at request granularity. Batched submission chops the request
-/// list into micro-batches of `max_batch`, fans them across the pool, and
-/// loads the snapshot/clock once per batch instead of once per request —
-/// the amortization that makes many concurrent small TopK calls cheap.
+/// effect at request granularity. Requests enter one of two ways, with one
+/// body: `Recommend` runs a request on the caller's thread, and
+/// `SubmitAsyncBatch` admits requests against `max_queue` and runs each
+/// admitted one on the pool through `Recommend`.
 class ServingEngine {
  public:
   explicit ServingEngine(const ServingConfig& config);
@@ -93,22 +92,15 @@ class ServingEngine {
   /// and hands each shard its own replica).
   Status PublishSnapshot(std::shared_ptr<const ModelSnapshot> snapshot);
 
-  /// Synchronous execution of one request on the caller's thread.
+  /// Synchronous execution of one request on the caller's thread; never shed.
   Response Recommend(const Request& request);
-
-  /// Executes `requests` as micro-batches across the worker pool; blocks
-  /// until all are done. Response i answers request i.
-  std::vector<Response> RecommendBatch(std::vector<Request> requests);
-
-  /// Enqueues one request onto the pool and returns its future response.
-  std::future<Response> SubmitAsync(Request request);
 
   /// Enqueues every request in one pool push: one lock acquisition and one
   /// condvar wakeup for the whole batch instead of one signal per request
   /// (the open-loop bench submits arrivals that fell due together this
-  /// way). Admission control is still per request — response i answers
-  /// request i, and any shed request resolves immediately with
-  /// RESOURCE_EXHAUSTED without entering the pool.
+  /// way). Admission control is per request — response i answers request
+  /// i, and any shed request resolves immediately with RESOURCE_EXHAUSTED
+  /// without entering the pool. An admitted request runs `Recommend`.
   std::vector<std::future<Response>> SubmitAsyncBatch(
       std::vector<Request> requests);
 
@@ -119,7 +111,7 @@ class ServingEngine {
   const Metrics& metrics() const { return metrics_; }
 
  private:
-  /// Scores one request against `snapshot` (shared by a whole batch).
+  /// Scores one request against the snapshot it pinned.
   Response Execute(const Request& request,
                    const std::shared_ptr<const ModelSnapshot>& snapshot,
                    std::chrono::steady_clock::time_point now);
@@ -131,9 +123,11 @@ class ServingEngine {
   ModelRegistry registry_;
   SessionStore sessions_;
   Metrics metrics_;
-  ThreadPool pool_;
-  /// SubmitAsync requests accepted but not yet finished.
+  /// SubmitAsyncBatch requests admitted but not yet finished. Declared
+  /// before pool_: the pool's destructor drains queued tasks, and each
+  /// one still releases its slot here.
   std::atomic<int64_t> async_in_flight_{0};
+  ThreadPool pool_;
 };
 
 }  // namespace plp::serve

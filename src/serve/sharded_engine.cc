@@ -76,16 +76,8 @@ Response ShardedServingEngine::Recommend(const Request& request) {
       request);
 }
 
-std::future<Response> ShardedServingEngine::SubmitAsync(Request request) {
-  const size_t s = static_cast<size_t>(ShardFor(request.user_id));
-  return shards_[s]->SubmitAsync(std::move(request));
-}
-
 std::vector<std::future<Response>> ShardedServingEngine::SubmitAsyncBatch(
     std::vector<Request> requests) {
-  if (shards_.size() == 1) {
-    return shards_[0]->SubmitAsyncBatch(std::move(requests));
-  }
   // Partition by owning shard, remembering where each request came from so
   // the per-shard futures can be scattered back into submission order.
   std::vector<std::vector<Request>> per_shard(shards_.size());

@@ -54,11 +54,8 @@ class ShardedServingEngine {
   /// without reconstructing engines).
   Status PublishSnapshot(std::shared_ptr<const ModelSnapshot> snapshot);
 
-  /// Synchronous execution on the owning shard (caller's thread).
+  /// Synchronous execution on the owning shard (caller's thread); never shed.
   Response Recommend(const Request& request);
-
-  /// Async submission onto the owning shard's pool.
-  std::future<Response> SubmitAsync(Request request);
 
   /// Routes each request to its owning shard, then submits every shard's
   /// share as ONE batched pool push (one condvar wakeup per shard touched

@@ -360,6 +360,33 @@ TEST_F(CheckpointResumeTest, ResumeRejectsCrossAccountantBlob) {
     EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument)
         << accountant;
   }
+
+  // The reverse direction: the RDP blob has no tag, so a PLD1 or MOG1 blob
+  // resumed under rdp must be named as the PLD accountant's, not fail on
+  // whichever RDP field its bytes happen to trip.
+  for (const char* accountant : {"pld_fft", "mog"}) {
+    std::filesystem::remove_all(dir_);
+    PlpConfig pld = MakePrivateConfig();
+    pld.accountant = accountant;
+    Rng pld_rng(kSeed);
+    ASSERT_TRUE(PlpTrainer(pld)
+                    .Train(corpus, pld_rng,
+                           [](const StepMetrics& m, const sgns::SgnsModel&) {
+                             return m.step < 3;
+                           },
+                           Options(false))
+                    .ok())
+        << accountant;
+    Rng resumed_rng(kSeed);
+    auto resumed = PlpTrainer(MakePrivateConfig())
+                       .Train(corpus, resumed_rng, nullptr, Options(true));
+    ASSERT_FALSE(resumed.ok()) << accountant;
+    EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument)
+        << accountant;
+    EXPECT_NE(resumed.status().message().find("PLD accountant"),
+              std::string::npos)
+        << accountant << ": " << resumed.status().message();
+  }
 }
 
 /// The full resume contract under the new pipeline pieces at once: MoG

@@ -27,7 +27,6 @@ sgns::SgnsModel MakeModel(uint64_t seed, int32_t locations = 50,
 ServingConfig SmallConfig() {
   ServingConfig config;
   config.num_threads = 2;
-  config.max_batch = 4;
   config.sessions.capacity = 64;
   config.sessions.history_length = 8;
   return config;
@@ -173,24 +172,22 @@ TEST(ServingEngineTest, BatchMatchesIndividualExecution) {
   // One request in the middle is broken; only it may fail.
   batch[4].history = {-3};
 
-  const std::vector<Response> responses = engine.RecommendBatch(batch);
-  ASSERT_EQ(responses.size(), batch.size());
-  for (size_t i = 0; i < responses.size(); ++i) {
+  auto futures = engine.SubmitAsyncBatch(batch);
+  ASSERT_EQ(futures.size(), batch.size());
+  for (size_t i = 0; i < futures.size(); ++i) {
+    const Response response = futures[i].get();
     if (i == 4) {
-      EXPECT_EQ(responses[i].status.code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
       continue;
     }
-    ASSERT_TRUE(responses[i].status.ok()) << "request " << i;
+    ASSERT_TRUE(response.status.ok()) << "request " << i;
     const Response solo = engine.Recommend(batch[i]);
-    ASSERT_EQ(responses[i].topk.size(), solo.topk.size());
+    ASSERT_EQ(response.topk.size(), solo.topk.size());
     for (size_t j = 0; j < solo.topk.size(); ++j) {
-      EXPECT_EQ(responses[i].topk[j].location, solo.topk[j].location);
-      EXPECT_EQ(responses[i].topk[j].score, solo.topk[j].score);
+      EXPECT_EQ(response.topk[j].location, solo.topk[j].location);
+      EXPECT_EQ(response.topk[j].score, solo.topk[j].score);
     }
   }
-  // 10 requests at max_batch=4 → 3 micro-batches.
-  EXPECT_EQ(engine.metrics().batches.load(), 3u);
-  EXPECT_EQ(engine.metrics().batched_requests.load(), 10u);
 }
 
 TEST(ServingEngineTest, QueuedExpiredRequestsAreRejectedUnderLoad) {
@@ -204,15 +201,12 @@ TEST(ServingEngineTest, QueuedExpiredRequestsAreRejectedUnderLoad) {
                       /*delay_millis=*/5);
 
   constexpr int kBurst = 16;
-  std::vector<std::future<Response>> futures;
-  futures.reserve(kBurst);
-  for (int i = 0; i < kBurst; ++i) {
-    Request request;
+  std::vector<Request> burst(kBurst);
+  for (Request& request : burst) {
     request.history = {1, 2};
     request.timeout_micros = 1000;  // 1 ms budget vs 5 ms injected delay
-    futures.push_back(engine.SubmitAsync(request));
   }
-  for (auto& future : futures) {
+  for (auto& future : engine.SubmitAsyncBatch(std::move(burst))) {
     const Response response = future.get();
     EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded);
     EXPECT_TRUE(response.topk.empty());
@@ -225,7 +219,7 @@ TEST(ServingEngineTest, QueuedExpiredRequestsAreRejectedUnderLoad) {
   Request fresh;
   fresh.history = {1, 2};
   fresh.timeout_micros = 1000000;
-  EXPECT_TRUE(engine.SubmitAsync(fresh).get().status.ok());
+  EXPECT_TRUE(engine.SubmitAsyncBatch({fresh})[0].get().status.ok());
 }
 
 TEST(ServingEngineTest, DeadlineAppliesInBatchesToo) {
@@ -241,12 +235,13 @@ TEST(ServingEngineTest, DeadlineAppliesInBatchesToo) {
                          std::chrono::milliseconds(10);
     }
   }
-  const std::vector<Response> responses = engine.RecommendBatch(batch);
-  for (size_t i = 0; i < responses.size(); ++i) {
+  auto futures = engine.SubmitAsyncBatch(std::move(batch));
+  for (size_t i = 0; i < futures.size(); ++i) {
+    const Response response = futures[i].get();
     if (i % 2 == 1) {
-      EXPECT_EQ(responses[i].status.code(), StatusCode::kDeadlineExceeded);
+      EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded);
     } else {
-      EXPECT_TRUE(responses[i].status.ok()) << "request " << i;
+      EXPECT_TRUE(response.status.ok()) << "request " << i;
     }
   }
   EXPECT_EQ(engine.metrics().requests_deadline_exceeded.load(), 3u);
@@ -254,8 +249,8 @@ TEST(ServingEngineTest, DeadlineAppliesInBatchesToo) {
 
 TEST(ServingEngineTest, AsyncQueueBoundShedsWithOverloaded) {
   // One worker, each request delayed 20 ms, admission bound of 2: a burst
-  // of 10 must complete at most 2 + pool-capacity requests and shed the
-  // rest immediately with RESOURCE_EXHAUSTED.
+  // of 10 one-request submissions must complete at most 2 + pool-capacity
+  // requests and shed the rest immediately with RESOURCE_EXHAUSTED.
   ServingConfig config = SmallConfig();
   config.num_threads = 1;
   config.max_queue = 2;
@@ -270,7 +265,7 @@ TEST(ServingEngineTest, AsyncQueueBoundShedsWithOverloaded) {
   for (int i = 0; i < kBurst; ++i) {
     Request request;
     request.history = {1, 2};
-    futures.push_back(engine.SubmitAsync(request));
+    futures.push_back(std::move(engine.SubmitAsyncBatch({request})[0]));
   }
   int ok = 0, shed = 0;
   for (auto& future : futures) {
@@ -299,7 +294,7 @@ TEST(ServingEngineTest, AsyncQueueBoundShedsWithOverloaded) {
   // The bound releases as requests finish: the engine accepts again.
   Request after;
   after.history = {3, 4};
-  EXPECT_TRUE(engine.SubmitAsync(after).get().status.ok());
+  EXPECT_TRUE(engine.SubmitAsyncBatch({after})[0].get().status.ok());
 }
 
 TEST(ServingEngineTest, ZeroMaxQueueDisablesShedding) {
@@ -307,28 +302,12 @@ TEST(ServingEngineTest, ZeroMaxQueueDisablesShedding) {
   config.max_queue = 0;
   ServingEngine engine(config);
   ASSERT_TRUE(engine.PublishModel(MakeModel(27), 1).ok());
-  std::vector<std::future<Response>> futures;
-  for (int i = 0; i < 64; ++i) {
-    Request request;
-    request.history = {1};
-    futures.push_back(engine.SubmitAsync(request));
-  }
-  for (auto& future : futures) {
+  std::vector<Request> requests(64);
+  for (Request& request : requests) request.history = {1};
+  for (auto& future : engine.SubmitAsyncBatch(std::move(requests))) {
     EXPECT_TRUE(future.get().status.ok());
   }
   EXPECT_EQ(engine.metrics().requests_overloaded.load(), 0u);
-}
-
-TEST(ServingEngineTest, SubmitAsyncDeliversFuture) {
-  ServingEngine engine(SmallConfig());
-  ASSERT_TRUE(engine.PublishModel(MakeModel(15), 1).ok());
-  Request request;
-  request.history = {3, 4, 5};
-  request.k = 4;
-  std::future<Response> future = engine.SubmitAsync(request);
-  const Response response = future.get();
-  ASSERT_TRUE(response.status.ok());
-  EXPECT_EQ(response.topk.size(), 4u);
 }
 
 TEST(ServingEngineTest, SubmitAsyncBatchAnswersEachRequestInOrder) {
@@ -350,38 +329,6 @@ TEST(ServingEngineTest, SubmitAsyncBatchAnswersEachRequestInOrder) {
     EXPECT_EQ(response.topk.size(), i + 1);
   }
   EXPECT_EQ(engine.metrics().requests_ok.load(), 8u);
-}
-
-TEST(ServingEngineTest, SubmitAsyncBatchMatchesSubmitAsync) {
-  const sgns::SgnsModel model = MakeModel(33);
-  ServingEngine batched_engine(SmallConfig());
-  ServingEngine single_engine(SmallConfig());
-  ASSERT_TRUE(batched_engine.PublishModel(model, 1).ok());
-  ASSERT_TRUE(single_engine.PublishModel(model, 1).ok());
-
-  std::vector<Request> requests(12);
-  for (size_t i = 0; i < requests.size(); ++i) {
-    requests[i].history = {static_cast<int32_t>(i % 50),
-                           static_cast<int32_t>((i * 7) % 50)};
-    requests[i].k = 5;
-  }
-  std::vector<Request> copy = requests;
-  auto batched = batched_engine.SubmitAsyncBatch(std::move(requests));
-  std::vector<std::future<Response>> singles;
-  for (auto& request : copy) {
-    singles.push_back(single_engine.SubmitAsync(std::move(request)));
-  }
-  for (size_t i = 0; i < batched.size(); ++i) {
-    const Response a = batched[i].get();
-    const Response b = singles[i].get();
-    ASSERT_TRUE(a.status.ok());
-    ASSERT_TRUE(b.status.ok());
-    ASSERT_EQ(a.topk.size(), b.topk.size());
-    for (size_t j = 0; j < a.topk.size(); ++j) {
-      EXPECT_EQ(a.topk[j].location, b.topk[j].location);
-      EXPECT_EQ(a.topk[j].score, b.topk[j].score);
-    }
-  }
 }
 
 TEST(ServingEngineTest, SubmitAsyncBatchShedsPastQueueBound) {
@@ -417,6 +364,36 @@ TEST(ServingEngineTest, SubmitAsyncBatchShedsPastQueueBound) {
   EXPECT_EQ(shed, 8);
   EXPECT_EQ(engine.metrics().requests_overloaded.load(),
             static_cast<uint64_t>(shed));
+}
+
+TEST(ServingEngineTest, RecommendIsNeverShed) {
+  // The synchronous path applies backpressure by blocking its caller, so a
+  // full admission bound must not shed it: health probes depend on that.
+  ServingConfig config = SmallConfig();
+  config.num_threads = 1;
+  config.max_queue = 1;
+  ServingEngine engine(config);
+  ASSERT_TRUE(engine.PublishModel(MakeModel(39), 1).ok());
+  FaultInjection::Arm("serve.execute", FaultMode::kDelay, /*trigger_hit=*/1,
+                      /*delay_millis=*/20);
+
+  std::vector<Request> requests(3);
+  for (auto& request : requests) request.history = {1, 2};
+  auto futures = engine.SubmitAsyncBatch(std::move(requests));
+  // The admitted request holds the only slot for 20 ms; this call lands
+  // while it is in flight.
+  Request probe;
+  probe.history = {3, 4};
+  const Response direct = engine.Recommend(probe);
+  EXPECT_TRUE(direct.status.ok()) << direct.status.message();
+
+  ASSERT_EQ(futures.size(), 3u);
+  EXPECT_TRUE(futures[0].get().status.ok());
+  EXPECT_EQ(futures[1].get().status.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(futures[2].get().status.code(), StatusCode::kResourceExhausted);
+  FaultInjection::Disarm();
+  EXPECT_EQ(engine.metrics().requests_overloaded.load(), 2u);
+  EXPECT_EQ(engine.metrics().requests_ok.load(), 2u);
 }
 
 TEST(ServingEngineTest, SubmitAsyncBatchEmptyIsANoOp) {

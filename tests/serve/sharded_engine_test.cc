@@ -30,7 +30,6 @@ ShardedConfig SmallShardedConfig(int32_t num_shards = 4) {
   ShardedConfig config;
   config.num_shards = num_shards;
   config.shard.num_threads = 1;  // one worker per shard — the deployment shape
-  config.shard.max_batch = 4;
   config.shard.sessions.capacity = 64;
   config.shard.sessions.history_length = 8;
   return config;
@@ -170,19 +169,29 @@ TEST(ShardedEngineTest, AsyncSubmissionRoutesLikeSync) {
   ShardedServingEngine engine(SmallShardedConfig(4));
   ASSERT_TRUE(engine.PublishModel(model, 1).ok());
 
-  std::vector<std::future<Response>> futures;
-  for (int64_t user = 0; user < 16; ++user) {
-    Request request;
-    request.user_id = user;
-    request.new_checkin = static_cast<int32_t>(user % 50);
-    futures.push_back(engine.SubmitAsync(std::move(request)));
+  std::vector<Request> requests(16);
+  for (size_t user = 0; user < requests.size(); ++user) {
+    requests[user].user_id = static_cast<int64_t>(user);
+    requests[user].new_checkin = static_cast<int32_t>(user % 50);
   }
-  for (auto& f : futures) {
+  for (auto& f : engine.SubmitAsyncBatch(std::move(requests))) {
     EXPECT_TRUE(f.get().status.ok());
   }
   Metrics total;
   engine.AggregateMetrics(total);
   EXPECT_EQ(total.requests_ok.load(), 16u);
+  // Each check-in landed in a session on its user's shard, as Recommend's
+  // would.
+  size_t sessions = 0;
+  for (size_t s = 0; s < engine.num_shards(); ++s) {
+    sessions += engine.shard(s).sessions().size();
+  }
+  EXPECT_EQ(sessions, 16u);
+  for (int64_t user = 0; user < 16; ++user) {
+    const size_t owner = static_cast<size_t>(engine.ShardFor(user));
+    EXPECT_TRUE(engine.shard(owner).sessions().Get(user).has_value())
+        << "user " << user;
+  }
 }
 
 TEST(ShardedEngineTest, BatchSubmissionScattersAcrossShardsInOrder) {
@@ -214,7 +223,7 @@ TEST(ShardedEngineTest, BatchSubmissionScattersAcrossShardsInOrder) {
   EXPECT_EQ(total.requests_ok.load(), 32u);
 }
 
-TEST(ShardedEngineTest, BatchSubmissionSingleShardFastPath) {
+TEST(ShardedEngineTest, BatchSubmissionOnOneShard) {
   const sgns::SgnsModel model = MakeModel(9);
   ShardedServingEngine engine(SmallShardedConfig(1));
   ASSERT_TRUE(engine.PublishModel(model, 1).ok());

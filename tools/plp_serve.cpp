@@ -1,8 +1,8 @@
 // plp_serve — interactive next-location serving loop over stdin/stdout.
 //
-//   plp_serve --model=model.plpm [--threads=4] [--k=10]
-//             [--capacity=100000] [--history_len=16] [--max_queue=1024]
-//             [--shards=1] [--format=f32] [--ivf=false] [--nprobe=0]
+//   plp_serve --model=model.plpm [--k=10] [--capacity=100000]
+//             [--history_len=16] [--shards=1] [--format=f32]
+//             [--ivf=false] [--nprobe=0]
 //
 // `--model` accepts a full model or an embeddings-only deployment
 // artifact. `--shards` runs the sharded engine (requests route by user
@@ -11,7 +11,8 @@
 // int8; `--ivf` builds the candidate-pruning index at load and
 // `--nprobe` overrides its probe width (0 = the index default, which is
 // the recall-gated setting). One request per input line, one response
-// line per request:
+// line per request, answered in order on the loop's own thread through the
+// engine's synchronous `Recommend`, which is never shed:
 //
 //   REC <user_id> <location_id> [k]   append a check-in to the user's
 //                                     session and recommend top-k
@@ -28,14 +29,12 @@
 // garbage gets the same treatment: unknown commands, unparseable fields,
 // oversized lines (> 64 KiB) and oversized id lists each produce one
 // structured `ERR INVALID_ARGUMENT: ...` line and bump the
-// `protocol_errors` counter instead of desynchronizing the loop. When the
-// engine sheds load (`--max_queue` admission bound), the response is
-// `ERR OVERLOADED: ...` and counts as `requests_overloaded`.
+// `protocol_errors` counter instead of desynchronizing the loop.
 //
-// SIGTERM/SIGINT drain gracefully: the loop stops accepting input, any
-// request already handed to the engine finishes (engine teardown joins
-// its workers), the final STATS table goes to stderr, and the process
-// exits 0 — so an orchestrator's stop is indistinguishable from QUIT.
+// SIGTERM/SIGINT drain gracefully: the loop stops accepting input, the
+// request being answered finishes, the final STATS table goes to stderr,
+// and the process exits 0 — so an orchestrator's stop is
+// indistinguishable from QUIT.
 
 #include <csignal>
 
@@ -80,11 +79,6 @@ void InstallDrainHandlers() {
 
 void PrintResponse(const Response& response) {
   if (!response.status.ok()) {
-    if (response.status.code() == plp::StatusCode::kResourceExhausted) {
-      // Shed by the engine's admission bound, not a caller mistake.
-      std::cout << "ERR OVERLOADED: " << response.status.message() << "\n";
-      return;
-    }
     std::cout << "ERR " << response.status.ToString() << "\n";
     return;
   }
@@ -121,22 +115,20 @@ int main(int argc, char** argv) {
   const plp::FlagParser& flags = flags_or.value();
   const std::string model_path = flags.GetString("model", "");
   if (model_path.empty()) {
-    std::cerr << "usage: plp_serve --model=model.plpm [--threads=4] "
-                 "[--k=10] [--capacity=100000] [--history_len=16] "
-                 "[--max_queue=1024] [--shards=1] [--format=f32] "
-                 "[--ivf=false] [--nprobe=0]\n";
+    std::cerr << "usage: plp_serve --model=model.plpm [--k=10] "
+                 "[--capacity=100000] [--history_len=16] [--shards=1] "
+                 "[--format=f32] [--ivf=false] [--nprobe=0]\n";
     return 2;
   }
 
   plp::serve::ShardedConfig config;
   config.num_shards = static_cast<int32_t>(flags.GetInt("shards", 1));
-  config.shard.num_threads = static_cast<int32_t>(flags.GetInt("threads", 4));
+  // Every request runs on this thread, so each shard's pool stays idle.
+  config.shard.num_threads = 1;
   config.shard.sessions.capacity =
       static_cast<size_t>(flags.GetInt("capacity", 100000));
   config.shard.sessions.history_length =
       static_cast<int32_t>(flags.GetInt("history_len", 16));
-  config.shard.max_queue =
-      static_cast<int32_t>(flags.GetInt("max_queue", 1024));
   config.shard.nprobe = static_cast<int32_t>(flags.GetInt("nprobe", 0));
   config.shard.snapshot.build_ivf = flags.GetBool("ivf", false);
   const int32_t default_k = static_cast<int32_t>(flags.GetInt("k", 10));
