@@ -1,6 +1,7 @@
 #include "privacy/pld_accountant.h"
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -9,6 +10,7 @@
 
 #include "common/rng.h"
 #include "common/serialize.h"
+#include "core/config.h"
 #include "core/plp_trainer.h"
 #include "data/fixtures.h"
 #include "privacy/ledger.h"
@@ -130,25 +132,128 @@ TEST(PldAccountantTest, CoalescesIdenticalRuns) {
 }
 
 TEST(PldAccountantTest, SaveRestoreRoundTripsBitIdentically) {
-  PldAccountant pld(kDelta);
-  ASSERT_TRUE(pld.AddSteps(0.06, 2.5, 120).ok());
-  ASSERT_TRUE(pld.AddSteps(0.06, 1.8, 40).ok());
-  ByteWriter writer;
-  pld.SaveState(writer);
-  const std::string blob = writer.Take();
+  // Two coalesced runs, and a schedule whose every step is its own entry:
+  // the restored accountant composes the entries it read, while the
+  // original composed them one step at a time.
+  PldAccountant runs(kDelta);
+  ASSERT_TRUE(runs.AddSteps(0.06, 2.5, 120).ok());
+  ASSERT_TRUE(runs.AddSteps(0.06, 1.8, 40).ok());
+  PldAccountant schedule(kDelta);
+  for (int step = 0; step < 12; ++step) {
+    ASSERT_TRUE(schedule.AddSteps(0.06, 2.5 - 0.05 * step, 1).ok());
+    ASSERT_TRUE(std::isfinite(schedule.CumulativeEpsilon()));
+  }
+  ASSERT_EQ(schedule.entries().size(), 12u);
 
-  ByteReader reader(blob);
-  auto restored = PldAccountant::Restore(reader);
-  ASSERT_TRUE(restored.ok()) << restored.status().message();
-  EXPECT_TRUE(reader.AtEnd());
-  EXPECT_EQ(restored->delta(), pld.delta());
-  EXPECT_EQ(restored->total_steps(), pld.total_steps());
-  // Bit-identity, not approximation: the discretization is deterministic.
-  EXPECT_EQ(restored->CumulativeEpsilon(), pld.CumulativeEpsilon());
+  for (PldAccountant* pld : {&runs, &schedule}) {
+    SCOPED_TRACE(pld->entries().size());
+    ByteWriter writer;
+    pld->SaveState(writer);
+    const std::string blob = writer.Take();
 
-  ByteWriter writer2;
-  restored->SaveState(writer2);
-  EXPECT_EQ(writer2.Take(), blob);
+    ByteReader reader(blob);
+    auto restored = PldAccountant::Restore(reader);
+    ASSERT_TRUE(restored.ok()) << restored.status().message();
+    EXPECT_TRUE(reader.AtEnd());
+    EXPECT_EQ(restored->delta(), pld->delta());
+    EXPECT_EQ(restored->total_steps(), pld->total_steps());
+    // Bit-identity, not approximation: the discretization is
+    // deterministic.
+    EXPECT_EQ(restored->CumulativeEpsilon(), pld->CumulativeEpsilon());
+
+    ByteWriter writer2;
+    restored->SaveState(writer2);
+    EXPECT_EQ(writer2.Take(), blob);
+
+    // The next steps, at new σ values and then a repeated one, give the
+    // same bits on both sides.
+    for (const double sigma : {1.7, 1.6, 1.6}) {
+      ASSERT_TRUE(pld->AddSteps(0.06, sigma, 1).ok());
+      ASSERT_TRUE(restored->AddSteps(0.06, sigma, 1).ok());
+      EXPECT_EQ(restored->CumulativeEpsilon(), pld->CumulativeEpsilon())
+          << "sigma=" << sigma;
+    }
+  }
+}
+
+/// Long-horizon ε bits at train_publish's mechanism (p = 0.06, σ = 2.5,
+/// δ = 2e-4), generated by the direct composition (a complex FFT and one
+/// polar power per bin per entry at every evaluation). Past step ~50 a
+/// growing share of the powered DFT bins underflow to exactly 0 (93% by
+/// step 388), which the golden trajectories, stopping at step 12, never
+/// reach. ε(388) is the last step train_publish certifies
+/// under ε = 2.
+constexpr double kLongHorizonDelta = 2e-4;
+
+struct EpsilonPin {
+  int64_t steps;
+  double epsilon;
+};
+
+constexpr EpsilonPin kPoissonPins[] = {
+    {1, 0x1.47c39f8ab2413p-4},   {10, 0x1.ec16441d9462bp-3},
+    {50, 0x1.2742029736bd7p-1},  {100, 0x1.b9f333dca542fp-1},
+    {200, 0x1.505a4ab6d9407p+0}, {300, 0x1.b1b15b379157bp+0},
+    {387, 0x1.fe7f4985bf4cp+0},  {388, 0x1.ff596f73fa821p+0},
+    {389, 0x1.0019a1ce84259p+1}, {400, 0x1.04c235239a188p+1},
+};
+
+TEST(PldAccountantTest, LongHorizonPinsTrackedPerStep) {
+  PldAccountant pld(kLongHorizonDelta);
+  int64_t steps = 0;
+  for (const EpsilonPin& pin : kPoissonPins) {
+    double eps = 0.0;
+    while (steps < pin.steps) {
+      ASSERT_TRUE(pld.AddSteps(0.06, 2.5, 1).ok());
+      ++steps;
+      eps = pld.CumulativeEpsilon();
+    }
+    EXPECT_EQ(eps, pin.epsilon) << "step " << pin.steps;
+  }
+}
+
+TEST(PldAccountantTest, LongHorizonPinsAddedInBulk) {
+  for (const EpsilonPin& pin : kPoissonPins) {
+    PldAccountant pld(kLongHorizonDelta);
+    ASSERT_TRUE(pld.AddSteps(0.06, 2.5, pin.steps).ok());
+    EXPECT_EQ(pld.CumulativeEpsilon(), pin.epsilon) << "steps " << pin.steps;
+  }
+}
+
+/// A 40-step linear decay 2.5 → 1.5 from core::NoiseScaleAt, tracked per
+/// step: steps 1–40 are 40 distinct entries, and step 41 coalesces into
+/// step 40's entry at the final σ.
+TEST(PldAccountantTest, NoiseSchedulePinsTrackedPerStep) {
+  constexpr EpsilonPin kPins[] = {
+      {1, 0x1.47c39f8ab2413p-4},  {2, 0x1.c4349844bc492p-4},
+      {20, 0x1.9b17105c154bcp-2}, {39, 0x1.67ec253183b9p-1},
+      {40, 0x1.725aa5d8609bdp-1}, {41, 0x1.7c6e06dcee132p-1},
+  };
+  core::PlpConfig config;
+  config.noise_scale = 2.5;
+  config.noise_scale_final = 1.5;
+  config.noise_decay_steps = 40;
+  PldAccountant pld(kLongHorizonDelta);
+  int64_t steps = 0;
+  for (const EpsilonPin& pin : kPins) {
+    double eps = 0.0;
+    while (steps < pin.steps) {
+      ++steps;
+      ASSERT_TRUE(
+          pld.AddSteps(0.06, core::NoiseScaleAt(config, steps), 1).ok());
+      eps = pld.CumulativeEpsilon();
+    }
+    EXPECT_EQ(eps, pin.epsilon) << "step " << pin.steps;
+  }
+  EXPECT_EQ(pld.entries().size(), 40u);
+}
+
+/// Fixed-batch rounds of B = 276 out of N = 4602 users, accounted at
+/// p = B/N, one step past the ε = 2 budget.
+TEST(PldAccountantTest, FixedBatchPinAtStep389) {
+  PldAccountant pld(kLongHorizonDelta);
+  ASSERT_TRUE(pld.AddSteps(276.0 / 4602.0, 2.5, 389).ok());
+  EXPECT_EQ(pld.CumulativeEpsilon(), 0x1.fffde742a49b6p+0);
 }
 
 TEST(PldAccountantTest, RejectsForeignAndTruncatedBlobs) {
