@@ -1,16 +1,20 @@
 // Micro-benchmarks of the hot substrates (google-benchmark): RNG draws,
 // RowMap vs std::unordered_map, skip-gram batch gradients, the local
-// overlay vs dense model copy, subsampled-Gaussian RDP evaluation, and the
-// synthetic generator.
+// overlay vs dense model copy, subsampled-Gaussian RDP evaluation, one PLD
+// ε evaluation (constant σ and under a noise schedule), and the synthetic
+// generator.
 
 #include <unordered_map>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
+#include "common/check.h"
 #include "common/math_util.h"
 #include "common/rng.h"
+#include "core/config.h"
 #include "data/synthetic_generator.h"
+#include "privacy/pld_accountant.h"
 #include "privacy/rdp_accountant.h"
 #include "sgns/local_model.h"
 #include "sgns/loss.h"
@@ -306,6 +310,48 @@ void BM_SubsampledGaussianRdpStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SubsampledGaussianRdpStep);
+
+// One PLD ε evaluation after `steps` rounds at train_publish's mechanism
+// (q = 0.06, σ = 2.5, δ = 2e-4): what the pld_fft Accountant stage pays
+// per step. CumulativeEpsilon keeps no answer between calls, so every
+// iteration is a whole evaluation.
+void BM_PldEpsilonAtStep(benchmark::State& state) {
+  privacy::PldAccountant pld(2e-4);
+  PLP_CHECK_OK(pld.AddSteps(0.06, 2.5, state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pld.CumulativeEpsilon());
+  }
+}
+BENCHMARK(BM_PldEpsilonAtStep)
+    ->Arg(10)
+    ->Arg(100)
+    ->Arg(388)
+    ->Unit(benchmark::kMillisecond);
+
+// Step `steps` of a per-step-tracked linear noise schedule (σ 2.5 → 1.5
+// over `steps` steps): every step is a new (p, σ) entry behind steps − 1
+// earlier ones. Each iteration copies the accountant as it stood after
+// step steps − 1 (untimed), then times one AddSteps plus one evaluation.
+void BM_PldScheduleStep(benchmark::State& state) {
+  core::PlpConfig config;
+  config.noise_scale = 2.5;
+  config.noise_scale_final = 1.5;
+  config.noise_decay_steps = state.range(0);
+  privacy::PldAccountant before(2e-4);
+  for (int64_t step = 1; step < state.range(0); ++step) {
+    PLP_CHECK_OK(before.AddSteps(0.06, core::NoiseScaleAt(config, step), 1));
+  }
+  benchmark::DoNotOptimize(before.CumulativeEpsilon());
+  const double sigma = core::NoiseScaleAt(config, state.range(0));
+  for (auto _ : state) {
+    state.PauseTiming();
+    privacy::PldAccountant pld = before;
+    state.ResumeTiming();
+    PLP_CHECK_OK(pld.AddSteps(0.06, sigma, 1));
+    benchmark::DoNotOptimize(pld.CumulativeEpsilon());
+  }
+}
+BENCHMARK(BM_PldScheduleStep)->Arg(200)->Unit(benchmark::kMillisecond);
 
 void BM_SyntheticGenerator(benchmark::State& state) {
   data::SyntheticConfig config = data::SmallSyntheticConfig();

@@ -11,8 +11,9 @@
 // path) and with --threads workers. Reports steps/sec for both, the
 // parallel speedup, and the per-phase wall-clock breakdown of the
 // multi-threaded run (sampling/grouping, local SGD, reduction, noise,
-// server apply) — so a regression in one stage can't hide inside the
-// aggregate. The determinism contract means both runs produce the same
+// server apply, accounting, checkpoint) — so a regression in one stage
+// can't hide inside the aggregate. This bench does not checkpoint, so its
+// checkpoint phase reads 0. The determinism contract means both runs produce the same
 // model bits; this bench only measures time.
 //
 // Results print as a table and are written as JSON (--json) so CI can
@@ -120,7 +121,8 @@ int main(int argc, char** argv) {
 
   const plp::core::TrainPhaseSeconds& ph = multi.phases;
   const double accounted = ph.sampling_grouping + ph.local_sgd +
-                           ph.reduction + ph.noise + ph.server_apply;
+                           ph.reduction + ph.noise + ph.server_apply +
+                           ph.accounting + ph.checkpoint;
   plp::TablePrinter table({"phase", "seconds", "share_pct"});
   auto add = [&](const std::string& name, double seconds) {
     table.NewRow();
@@ -133,6 +135,8 @@ int main(int argc, char** argv) {
   add("reduction", ph.reduction);
   add("noise", ph.noise);
   add("server_apply", ph.server_apply);
+  add("accounting", ph.accounting);
+  add("checkpoint", ph.checkpoint);
   table.PrintAligned(std::cout);
 
   std::ofstream json(json_path);
@@ -153,7 +157,9 @@ int main(int argc, char** argv) {
        << "    \"local_sgd\": " << ph.local_sgd << ",\n"
        << "    \"reduction\": " << ph.reduction << ",\n"
        << "    \"noise\": " << ph.noise << ",\n"
-       << "    \"server_apply\": " << ph.server_apply << "\n"
+       << "    \"server_apply\": " << ph.server_apply << ",\n"
+       << "    \"accounting\": " << ph.accounting << ",\n"
+       << "    \"checkpoint\": " << ph.checkpoint << "\n"
        << "  }\n"
        << "}\n";
   if (!json) {

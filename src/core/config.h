@@ -11,7 +11,7 @@
 
 namespace plp::core {
 
-/// How sampled users are pooled into buckets (Section 4.1: дroupData).
+/// How sampled users are pooled into buckets (Section 4.1: groupData).
 enum class GroupingKind {
   /// Users are randomly permuted and chunked into buckets of λ (the
   /// paper's default — equal-frequency showed "no statistically

@@ -37,7 +37,7 @@ std::vector<int32_t> PoissonSampleUsers(int32_t num_users, double q,
 std::vector<int32_t> FixedBatchSampleUsers(int32_t num_users,
                                            int32_t batch_size, Rng& rng);
 
-/// дroupData(U_sample, λ) — pools the sampled users' data into buckets.
+/// groupData(U_sample, λ) — pools the sampled users' data into buckets.
 ///
 /// * GroupingKind::kRandom: random permutation chunked into groups of λ.
 /// * GroupingKind::kEqualFrequency: greedy balancing of record counts

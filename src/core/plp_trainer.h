@@ -52,6 +52,10 @@ struct TrainPhaseSeconds {
   double reduction = 0.0;          ///< Σ bucket deltas into the dense sum
   double noise = 0.0;              ///< Gaussian noise + averaging (line 9)
   double server_apply = 0.0;       ///< server optimizer (line 10)
+  /// Budget check before each round (lines 3, 11–13), including the round
+  /// that exhausts the budget.
+  double accounting = 0.0;
+  double checkpoint = 0.0;  ///< durable checkpoint commits
 };
 
 /// Output of a training run.

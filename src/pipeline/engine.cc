@@ -178,8 +178,10 @@ Result<core::TrainResult> TrainingEngine::Train(
     round.noise_multiplier = config_.policy.noise_multiplier_at
                                  ? config_.policy.noise_multiplier_at(step)
                                  : 0.0;
+    Stopwatch phase;
     PLP_ASSIGN_OR_RETURN(const BudgetDecision decision,
                          stages_.accountant->TrackRound(round));
+    result.phase_seconds.accounting += phase.ElapsedSeconds();
     if (decision.exhausted) {
       result.stop_reason = core::StopReason::kBudgetExhausted;
       break;
@@ -190,9 +192,8 @@ Result<core::TrainResult> TrainingEngine::Train(
     metrics.epsilon_spent = decision.epsilon_after;
     result.epsilon_spent = decision.epsilon_after;
 
-    Stopwatch phase;
-
     // Lines 5–6: user sample, then data grouping.
+    phase.Reset();
     const std::vector<int32_t> sampled = stages_.sampler->Sample(corpus, rng);
     const std::vector<core::Bucket> buckets =
         stages_.grouper->Group(corpus, sampled, rng);
@@ -313,9 +314,11 @@ Result<core::TrainResult> TrainingEngine::Train(
 
     if (manager && step % checkpoint.every_steps == 0) {
       PLP_FAULT_POINT("trainer.before_checkpoint");
+      phase.Reset();
       PLP_RETURN_IF_ERROR(manager->Save(MakeSnapshot(
           config_.kind, ToCkptScheme(config_.policy.scheme), step, rng,
           *stages_.accountant, *stages_.server, result.model)));
+      result.phase_seconds.checkpoint += phase.ElapsedSeconds();
     }
 
     if (!continue_training) {

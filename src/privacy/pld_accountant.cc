@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <complex>
 #include <limits>
 
 #include "common/check.h"
@@ -10,8 +11,7 @@
 namespace plp::privacy {
 namespace {
 
-using pld_grid::Fft;
-using pld_grid::IntPow;
+using pld_grid::NextBitReversed;
 using pld_grid::StdNormalCdf;
 using pld_grid::WrapIndex;
 
@@ -36,6 +36,31 @@ double LossInverse(double p, double sigma, double s) {
   const double shifted = std::exp(s) - (1.0 - p);
   if (shifted <= 0.0) return -std::numeric_limits<double>::infinity();
   return 0.5 + sigma * sigma * std::log(shifted / p);
+}
+
+/// Calls emit(i, re, im) with z_i^k for every bin i of a polar DFT, in
+/// bin order: exp(k·log|z|) times (cos kθ, sin kθ), the libm calls the
+/// complex form z^k = r^k·e^{ikθ} makes, on the same arguments. Where the
+/// magnitude underflows to exactly 0 (always where z = 0, log|z| = −∞),
+/// emits (0, 0) and skips cos and sin. The product would be a zero of
+/// either sign there, and the sign of a zero never reaches the pmf: every
+/// later step is +, − or a product with a finite factor, which keeps each
+/// value bit-equal or zero on both sides, and the rotation out of the
+/// inverse FFT maps either zero to +0.
+template <typename Emit>
+void ForEachPower(const std::vector<double>& log_magnitude,
+                  const std::vector<double>& phase, int64_t steps,
+                  Emit&& emit) {
+  const double k = static_cast<double>(steps);
+  for (size_t i = 0; i < log_magnitude.size(); ++i) {
+    const double magnitude = std::exp(k * log_magnitude[i]);
+    if (magnitude == 0.0) {
+      emit(i, 0.0, 0.0);
+      continue;
+    }
+    const double angle = k * phase[i];
+    emit(i, magnitude * std::cos(angle), magnitude * std::sin(angle));
+  }
 }
 
 Status ValidateEntry(const PldEntry& entry) {
@@ -114,18 +139,35 @@ Status PldAccountant::AddSteps(double p, double sigma, int64_t steps) {
   return Status::Ok();
 }
 
+pld_grid::Grid& PldAccountant::EnsureGrid() const {
+  if (!eval_.grid) {
+    eval_.grid.emplace(options_);
+    const size_t n = eval_.grid->size();
+    eval_.re.resize(n);
+    eval_.im.resize(n);
+    eval_.pmf.resize(n);
+  }
+  return *eval_.grid;
+}
+
 const PldAccountant::StepPld& PldAccountant::StepPldFor(double p,
                                                         double sigma) const {
-  for (const StepPld& cached : step_cache_) {
-    if (cached.p == p && cached.sigma == sigma) return cached;
-  }
-  const size_t n = static_cast<size_t>(1) << options_.log2_grid_size;
+  StepPld& step = eval_.step;
+  if (step.p == p && step.sigma == sigma) return step;
+  pld_grid::Grid& grid = EnsureGrid();
+  const size_t n = grid.size();
   const double range = options_.grid_range;
   const double width = 2.0 * range / static_cast<double>(n);
 
-  StepPld pld;
-  pld.p = p;
-  pld.sigma = sigma;
+  // The DFT is computed in the cache's own arrays: the real pmf goes into
+  // log_magnitude, zeros into phase, and each bin is turned into polar
+  // form in place. The forward transform runs once per distinct (p, σ),
+  // so its twiddles go into the evaluation scratch, which holds nothing
+  // between calls, instead of a second table kept beside the inverse one.
+  std::vector<double>& re = step.log_magnitude;
+  std::vector<double>& im = step.phase;
+  re.assign(n, 0.0);
+  im.assign(n, 0.0);
   // Loss-ordered bin t (t = 0 … n−1) holds the P-mass of losses in
   // (s_t − Δ, s_t] with right edge s_t = −R + (t+1)·Δ — mass rounds *up*
   // to the edge, so every bin's contribution to δ(ε) is over- rather than
@@ -133,68 +175,122 @@ const PldAccountant::StepPld& PldAccountant::StepPldFor(double p,
   // lumps into bin t = 0 (also rounding up); mass above it is the
   // truncated tail that contributes to δ in full. Bins are stored at
   // their FFT wrap-around index (see pld_grid::WrapIndex).
-  std::vector<std::complex<double>> pmf(n, {0.0, 0.0});
   double previous_cdf = 0.0;
   for (size_t t = 0; t < n; ++t) {
     const double edge = -range + static_cast<double>(t + 1) * width;
     const double x = LossInverse(p, sigma, edge);
     const double cdf = std::isinf(x) ? 0.0 : UpperCdf(p, sigma, x);
-    pmf[WrapIndex(t, n)] = {std::max(0.0, cdf - previous_cdf), 0.0};
+    re[WrapIndex(t, n)] = std::max(0.0, cdf - previous_cdf);
     previous_cdf = std::max(cdf, previous_cdf);
   }
-  pld.inf_mass = std::max(0.0, 1.0 - previous_cdf);
-  Fft(pmf, /*inverse=*/false);
-  pld.dft = std::move(pmf);
-  step_cache_.push_back(std::move(pld));
-  return step_cache_.back();
+  step.inf_mass = std::max(0.0, 1.0 - previous_cdf);
+  pld_grid::BitReversePermute(re.data(), n);
+  pld_grid::FillTwiddles(n, /*inverse=*/false, eval_.re.data(),
+                         eval_.im.data());
+  pld_grid::Fft(n, re.data(), im.data(), eval_.re.data(), eval_.im.data());
+  for (size_t i = 0; i < n; ++i) {
+    const std::complex<double> z(re[i], im[i]);
+    re[i] = std::log(std::abs(z));
+    im[i] = std::arg(z);
+  }
+  step.p = p;
+  step.sigma = sigma;
+  return step;
 }
 
-void PldAccountant::Compose(std::vector<double>& pmf,
-                            double& inf_mass) const {
-  const size_t n = static_cast<size_t>(1) << options_.log2_grid_size;
-  std::vector<std::complex<double>> composed(n, {1.0, 0.0});
-  double finite_fraction = 1.0;
-  for (const PldEntry& entry : entries_) {
+void PldAccountant::FoldFrozenEntries() const {
+  // The left fold a recomposition of every entry performs, from the empty
+  // product: fold ← fold·z^steps bin by bin, and the finite fraction times
+  // (1 − inf_mass)^steps.
+  while (eval_.folded + 1 < entries_.size()) {
+    const PldEntry& entry = entries_[eval_.folded];
     const StepPld& step =
         StepPldFor(entry.participation_probability, entry.noise_multiplier);
-    for (size_t i = 0; i < n; ++i) {
-      composed[i] *= IntPow(step.dft[i], entry.steps);
+    std::vector<double>& fold_re = eval_.fold_re;
+    std::vector<double>& fold_im = eval_.fold_im;
+    if (eval_.folded == 0) {
+      fold_re.assign(step.log_magnitude.size(), 1.0);
+      fold_im.assign(step.log_magnitude.size(), 0.0);
     }
-    finite_fraction *=
+    ForEachPower(step.log_magnitude, step.phase, entry.steps,
+                 [&](size_t i, double re, double im) {
+                   const double a = fold_re[i];
+                   const double b = fold_im[i];
+                   fold_re[i] = a * re - b * im;
+                   fold_im[i] = a * im + b * re;
+                 });
+    eval_.fold_finite *=
         std::pow(1.0 - step.inf_mass, static_cast<double>(entry.steps));
+    ++eval_.folded;
   }
-  inf_mass = std::max(0.0, 1.0 - finite_fraction);
+}
+
+double PldAccountant::Compose() const {
+  pld_grid::Grid& grid = EnsureGrid();
+  const size_t n = grid.size();
+  std::vector<double>& pmf = eval_.pmf;
   if (entries_.empty()) {
     // Empty composition: point mass at loss 0 — δ(ε) = 0 for ε >= 0.
-    pmf.assign(n, 0.0);
-    const size_t zero_bin =
-        n / 2 == 0 ? 0 : n / 2 - 1;  // right edge closest to 0 from below
-    pmf[zero_bin] = 1.0;
-    return;
+    std::fill(pmf.begin(), pmf.end(), 0.0);
+    pmf[n / 2 - 1] = 1.0;  // right edge closest to 0 from below
+    return 0.0;
   }
-  Fft(composed, /*inverse=*/true);
-  // Rotate from FFT wrap-around order back to loss-ascending order.
-  pmf.resize(n);
-  for (size_t t = 0; t < n; ++t) {
-    pmf[t] = std::max(0.0, composed[WrapIndex(t, n)].real());
+  FoldFrozenEntries();
+  const PldEntry& open = entries_.back();
+  const StepPld& step =
+      StepPldFor(open.participation_probability, open.noise_multiplier);
+
+  // The open entry's powers, times the fold if there is one, written
+  // straight into the bit-reversed order the inverse FFT takes. Without a
+  // fold the powers go in as they are: 1·z differs from z at most in the
+  // sign of a zero (see ForEachPower).
+  double* re = eval_.re.data();
+  double* im = eval_.im.data();
+  const bool has_fold = eval_.folded > 0;
+  const double* fold_re = eval_.fold_re.data();
+  const double* fold_im = eval_.fold_im.data();
+  size_t j = 0;  // bit reversal of the bin being emitted
+  ForEachPower(step.log_magnitude, step.phase, open.steps,
+               [&](size_t i, double z_re, double z_im) {
+                 if (has_fold) {
+                   re[j] = fold_re[i] * z_re - fold_im[i] * z_im;
+                   im[j] = fold_re[i] * z_im + fold_im[i] * z_re;
+                 } else {
+                   re[j] = z_re;
+                   im[j] = z_im;
+                 }
+                 j = NextBitReversed(j, n);
+               });
+  grid.InverseFft(re, im);
+
+  // Rotate from FFT wrap-around order back to loss-ascending order:
+  // loss bin t sits at index t + shift, less n once that passes the end.
+  const double scale = static_cast<double>(n);
+  const size_t shift = WrapIndex(0, n);
+  for (size_t t = 0; t < n - shift; ++t) {
+    pmf[t] = std::max(0.0, re[t + shift] / scale);
   }
+  for (size_t t = n - shift; t < n; ++t) {
+    pmf[t] = std::max(0.0, re[t + shift - n] / scale);
+  }
+  const double finite_fraction =
+      eval_.fold_finite *
+      std::pow(1.0 - step.inf_mass, static_cast<double>(open.steps));
+  return std::max(0.0, 1.0 - finite_fraction);
 }
 
 double PldAccountant::DeltaAtEpsilon(double epsilon) const {
-  std::vector<double> pmf;
-  double inf_mass = 0.0;
-  Compose(pmf, inf_mass);
-  return pld_grid::DeltaAtEpsilon(pmf, inf_mass, options_.grid_range,
+  const double inf_mass = Compose();
+  return pld_grid::DeltaAtEpsilon(eval_.pmf, inf_mass, options_.grid_range,
                                   epsilon);
 }
 
 double PldAccountant::CumulativeEpsilon() const {
   if (total_steps_ == 0) return 0.0;
-  std::vector<double> pmf;
-  double inf_mass = 0.0;
-  Compose(pmf, inf_mass);
-  return pld_grid::EpsilonForDelta(pmf, inf_mass, options_.grid_range,
-                                   delta_);
+  const double inf_mass = Compose();
+  // The FFT buffers are dead once the pmf is out of them.
+  return eval_.grid->EpsilonForDelta(eval_.pmf, inf_mass, delta_,
+                                     eval_.re.data(), eval_.im.data());
 }
 
 void PldAccountant::SaveState(ByteWriter& writer) const {

@@ -1,8 +1,9 @@
 #ifndef PLP_PRIVACY_PLD_ACCOUNTANT_H_
 #define PLP_PRIVACY_PLD_ACCOUNTANT_H_
 
-#include <complex>
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/serialize.h"
@@ -47,6 +48,14 @@ struct PldEntry {
 /// RDP moments accountant at equal (q, σ, δ) — typically by 25–40% in ε
 /// over hundreds of steps.
 ///
+/// One evaluation powers only the open (last) entry, whose step count may
+/// still grow: every earlier entry is frozen and already multiplied into a
+/// running product of DFT powers, so a noise schedule, where every step
+/// is its own entry, costs one power per step rather than a recomposition
+/// of the whole history. The result is bit-identical to composing all
+/// entries afresh (see DESIGN.md). The evaluation state is a cache behind
+/// const calls: an accountant is not safe for concurrent calls.
+///
 /// This backs both PLD spellings of the pipeline's Accountant stage:
 /// "pld_fft" (Poisson rounds only) and "mog" (Poisson and fixed-batch
 /// rounds). The RDP ledger remains the default.
@@ -64,6 +73,7 @@ class PldAccountant {
   /// Smallest grid-resolvable ε such that the composition so far is
   /// (ε, δ)-DP under this discretization. 0 before any step; +infinity if
   /// even ε = grid_range cannot meet δ (grid too small for the spend).
+  /// Every call is a whole evaluation; no answer is kept between calls.
   double CumulativeEpsilon() const;
 
   /// δ(ε) of the composition so far (test/diagnostic surface).
@@ -86,23 +96,50 @@ class PldAccountant {
   static Result<PldAccountant> Restore(ByteReader& reader);
 
  private:
+  /// One round's PLD at (p, σ), as the polar form of its DFT: z^k is then
+  /// exp(k·log|z|)·(cos kθ, sin kθ) without a hypot, atan2 and log per
+  /// bin per evaluation.
   struct StepPld {
-    double p = 0.0;
+    double p = 0.0;  ///< 0 until built (entries have p > 0)
     double sigma = 0.0;
-    std::vector<std::complex<double>> dft;  ///< DFT of one round's PLD
-    double inf_mass = 0.0;                  ///< P[L(x) > grid_range]
+    std::vector<double> log_magnitude;  ///< log|z| per bin; −∞ where z = 0
+    std::vector<double> phase;          ///< arg z per bin
+    double inf_mass = 0.0;              ///< P[L(x) > grid_range]
   };
 
+  /// Derived from the entries and reused across evaluations.
+  struct Evaluation {
+    std::optional<pld_grid::Grid> grid;  ///< built on the first evaluation
+    StepPld step;  ///< the one cached (p, σ): the open entry's after a call
+    /// entries_[0, folded) are multiplied into fold_re/fold_im (natural
+    /// bin order; allocated by the first fold) and fold_finite, the
+    /// product of their (1 − inf_mass)^steps.
+    size_t folded = 0;
+    std::vector<double> fold_re;
+    std::vector<double> fold_im;
+    double fold_finite = 1.0;
+    /// Scratch of one call: the forward twiddles while a round's PLD is
+    /// transformed, the composed DFT and its inverse, then the tail's
+    /// suffix sums.
+    std::vector<double> re;
+    std::vector<double> im;
+    std::vector<double> pmf;  ///< the composed PLD, loss-ascending
+  };
+
+  /// The grid and workspaces, allocated on the first call.
+  pld_grid::Grid& EnsureGrid() const;
   const StepPld& StepPldFor(double p, double sigma) const;
-  /// Composed PLD over all entries: the finite grid part and the total
+  /// Multiplies every entry but the open one into the fold, in order.
+  void FoldFrozenEntries() const;
+  /// Composed PLD over all entries into eval_.pmf; returns the total
   /// truncated mass. Empty composition → point mass at loss 0.
-  void Compose(std::vector<double>& pmf, double& inf_mass) const;
+  double Compose() const;
 
   double delta_;
   PldOptions options_;
   std::vector<PldEntry> entries_;
   int64_t total_steps_ = 0;
-  mutable std::vector<StepPld> step_cache_;
+  mutable Evaluation eval_;
 };
 
 }  // namespace plp::privacy

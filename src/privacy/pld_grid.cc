@@ -2,47 +2,82 @@
 
 #include <algorithm>
 #include <cmath>
+#include <complex>
 #include <limits>
+#include <utility>
 
 namespace plp::privacy::pld_grid {
 
 double StdNormalCdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
 
-void Fft(std::vector<std::complex<double>>& data, bool inverse) {
-  const size_t n = data.size();
-  for (size_t i = 1, j = 0; i < n; ++i) {
-    size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
+void BitReversePermute(double* data, size_t n) {
+  for (size_t i = 1, j = NextBitReversed(0, n); i < n;
+       ++i, j = NextBitReversed(j, n)) {
     if (i < j) std::swap(data[i], data[j]);
-  }
-  for (size_t len = 2; len <= n; len <<= 1) {
-    const double angle = (inverse ? 2.0 : -2.0) * M_PI /
-                         static_cast<double>(len);
-    const std::complex<double> root(std::cos(angle), std::sin(angle));
-    for (size_t i = 0; i < n; i += len) {
-      std::complex<double> w(1.0, 0.0);
-      for (size_t k = 0; k < len / 2; ++k) {
-        const std::complex<double> even = data[i + k];
-        const std::complex<double> odd = data[i + k + len / 2] * w;
-        data[i + k] = even + odd;
-        data[i + k + len / 2] = even - odd;
-        w *= root;
-      }
-    }
-  }
-  if (inverse) {
-    for (auto& v : data) v /= static_cast<double>(n);
   }
 }
 
-std::complex<double> IntPow(std::complex<double> z, int64_t k) {
-  const double r = std::abs(z);
-  if (r == 0.0) return {0.0, 0.0};
-  const double theta = std::arg(z);
-  const double magnitude = std::exp(static_cast<double>(k) * std::log(r));
-  const double phase = static_cast<double>(k) * theta;
-  return {magnitude * std::cos(phase), magnitude * std::sin(phase)};
+void FillTwiddles(size_t n, bool inverse, double* re, double* im) {
+  for (size_t half = 1; half < n; half <<= 1) {
+    const double angle =
+        (inverse ? 2.0 : -2.0) * M_PI / static_cast<double>(2 * half);
+    const std::complex<double> root(std::cos(angle), std::sin(angle));
+    std::complex<double> w(1.0, 0.0);
+    for (size_t k = 0; k < half; ++k) {
+      re[half - 1 + k] = w.real();
+      im[half - 1 + k] = w.imag();
+      w *= root;
+    }
+  }
+}
+
+void Fft(size_t n, double* re, double* im, const double* twiddle_re,
+         const double* twiddle_im) {
+  for (size_t half = 1; half < n; half <<= 1) {
+    const double* w_re = twiddle_re + (half - 1);
+    const double* w_im = twiddle_im + (half - 1);
+    for (size_t block = 0; block < n; block += 2 * half) {
+      double* even_re = re + block;
+      double* even_im = im + block;
+      double* odd_re = even_re + half;
+      double* odd_im = even_im + half;
+      for (size_t k = 0; k < half; ++k) {
+        const double a = odd_re[k];
+        const double b = odd_im[k];
+        const double c = w_re[k];
+        const double d = w_im[k];
+        const double t_re = a * c - b * d;
+        const double t_im = a * d + b * c;
+        const double e_re = even_re[k];
+        const double e_im = even_im[k];
+        even_re[k] = e_re + t_re;
+        even_im[k] = e_im + t_im;
+        odd_re[k] = e_re - t_re;
+        odd_im[k] = e_im - t_im;
+      }
+    }
+  }
+}
+
+Grid::Grid(const PldOptions& options)
+    : range_(options.grid_range),
+      width_(2.0 * options.grid_range /
+             static_cast<double>(size_t{1} << options.log2_grid_size)) {
+  const size_t n = size_t{1} << options.log2_grid_size;
+  inverse_twiddle_re_.resize(n - 1);
+  inverse_twiddle_im_.resize(n - 1);
+  FillTwiddles(n, /*inverse=*/true, inverse_twiddle_re_.data(),
+               inverse_twiddle_im_.data());
+  exp_neg_edge_.resize(n);
+  for (size_t j = 0; j < n; ++j) {
+    const double edge = -range_ + static_cast<double>(j + 1) * width_;
+    exp_neg_edge_[j] = std::exp(-edge);
+  }
+}
+
+void Grid::InverseFft(double* re, double* im) const {
+  Fft(size(), re, im, inverse_twiddle_re_.data(),
+      inverse_twiddle_im_.data());
 }
 
 double DeltaAtEpsilon(const std::vector<double>& pmf, double inf_mass,
@@ -60,18 +95,21 @@ double DeltaAtEpsilon(const std::vector<double>& pmf, double inf_mass,
   return std::min(1.0, inf_mass + tail);
 }
 
-double EpsilonForDelta(const std::vector<double>& pmf, double inf_mass,
-                       double range, double delta) {
-  const size_t n = pmf.size();
-  const double width = 2.0 * range / static_cast<double>(n);
-  // Precompute suffix sums so each δ(ε) probe is O(log n): for bins above
-  // a cut index c, δ = Σ_{j≥c} pmf[j] − e^ε Σ_{j≥c} pmf[j]·e^{−s_j}.
-  std::vector<double> suffix_mass(n + 1, 0.0);
-  std::vector<double> suffix_weighted(n + 1, 0.0);
+double Grid::EpsilonForDelta(const std::vector<double>& pmf, double inf_mass,
+                             double delta, double* suffix_mass,
+                             double* suffix_weighted) const {
+  const size_t n = size();
+  const double range = range_;
+  const double width = width_;
+  // For bins above a cut index c, δ = Σ_{j≥c} pmf[j] − e^ε Σ_{j≥c}
+  // pmf[j]·e^{−s_j}. The sums run serially from the top bin down.
+  double mass = 0.0;
+  double weighted = 0.0;
   for (size_t j = n; j-- > 0;) {
-    const double edge = -range + static_cast<double>(j + 1) * width;
-    suffix_mass[j] = suffix_mass[j + 1] + pmf[j];
-    suffix_weighted[j] = suffix_weighted[j + 1] + pmf[j] * std::exp(-edge);
+    mass += pmf[j];
+    weighted += pmf[j] * exp_neg_edge_[j];
+    suffix_mass[j] = mass;
+    suffix_weighted[j] = weighted;
   }
   const auto delta_at = [&](double eps) {
     // First bin whose right edge exceeds eps.

@@ -227,6 +227,26 @@ TEST_F(CheckpointResumeTest, ResumeFromEmptyDirIsAFreshStart) {
   EXPECT_TRUE(ModelsBitwiseEqual(fresh->model, reference->model));
 }
 
+/// The engine times the budget check and the checkpoint commits as phases
+/// of their own, disjoint from the other five and from each other, so the
+/// seven never add up to more than the run's wall time.
+TEST_F(CheckpointResumeTest, PhaseSecondsTimeAccountingAndCheckpoints) {
+  const data::TrainingCorpus corpus = MakeCorpus();
+  const PlpTrainer trainer(MakePrivateConfig());
+  Rng rng(kSeed);
+  auto result = trainer.Train(corpus, rng, nullptr, Options(false));
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->steps_executed, kMaxSteps);
+  const TrainPhaseSeconds& phases = result->phase_seconds;
+  EXPECT_GT(phases.accounting, 0.0);
+  EXPECT_GT(phases.checkpoint, 0.0);
+  const double phase_sum = phases.sampling_grouping + phases.local_sgd +
+                           phases.reduction + phases.noise +
+                           phases.server_apply + phases.accounting +
+                           phases.checkpoint;
+  EXPECT_LE(phase_sum, result->wall_seconds);
+}
+
 TEST_F(CheckpointResumeTest, ResumeRejectsWrongTrainerKind) {
   const data::TrainingCorpus corpus = MakeCorpus();
 

@@ -36,7 +36,9 @@ Pipeline BuildPipeline(uint64_t seed) {
   auto split = filtered.SplitHoldout(30, rng);
   EXPECT_TRUE(split.ok());
   Pipeline p{.train = std::move(split->first),
-             .test = std::move(split->second)};
+             .test = std::move(split->second),
+             .corpus = {},
+             .examples = {}};
   auto corpus = data::BuildCorpus(p.train);
   EXPECT_TRUE(corpus.ok());
   p.corpus = std::move(corpus).value();

@@ -146,14 +146,18 @@ TEST(AlignmentTest, RowMapRowsAlignedAcrossGrowthAndReuse) {
     // Enough inserts to force several rehashes and arena reallocations.
     for (int32_t key = 0; key < 200; ++key) {
       const std::span<double> row = map.FindOrInsertZero(key);
-      if (padded) EXPECT_TRUE(IsAligned(row.data())) << "key " << key;
+      if (padded) {
+        EXPECT_TRUE(IsAligned(row.data())) << "key " << key;
+      }
       EXPECT_EQ(row.size(), static_cast<size_t>(dim));
     }
     // Growth must not have moved earlier rows off alignment, and the first
     // row is the arena base — aligned at every width.
     bool first = true;
     map.ForEach([&](int32_t key, std::span<const double> row) {
-      if (padded || first) EXPECT_TRUE(IsAligned(row.data())) << "key " << key;
+      if (padded || first) {
+        EXPECT_TRUE(IsAligned(row.data())) << "key " << key;
+      }
       first = false;
     });
     // Clear keeps capacity; reused rows must still be aligned.

@@ -15,8 +15,8 @@
 //      budget spend;
 //   3. recovery always succeeds: no torn artifact is ever loaded.
 //
-//   plp_crashtest [--cycles=20] [--threads=1] [--seed=1] \
-//                 [--trainer=private|nonprivate] \
+//   plp_crashtest [--cycles=20] [--threads=1] [--seed=1]
+//                 [--trainer=private|nonprivate]
 //                 [--work_dir=crashtest-work] [--model_out=path] [--keep]
 //
 // Exits 0 iff every cycle passes. Prints the CRC-64 of the final model so

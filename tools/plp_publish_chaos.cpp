@@ -24,7 +24,7 @@
 // must roll back CURRENT and the fleet to the last good version. A final
 // clean cycle proves the loop recovers.
 //
-//   plp_publish_chaos [--cycles=20] [--threads=2] [--seed=1] \
+//   plp_publish_chaos [--cycles=20] [--threads=2] [--seed=1]
 //                     [--work_dir=publish-chaos-work] [--keep]
 //
 // Exits 0 iff every cycle and invariant passes.

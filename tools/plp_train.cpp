@@ -3,15 +3,15 @@
 // Input CSV columns: user,location,timestamp,latitude,longitude (header
 // row required; ids may be sparse — they are densified by ascending id).
 //
-//   plp_train --input=checkins.csv --output=model.plpm \
-//             [--embeddings_output=embeddings.plpe] \
-//             [--private=true] [--eps=2] [--delta=2e-4] [--sigma=2.5] \
-//             [--q=0.06] [--lambda=4] [--clip=0.5] [--epochs=100] \
-//             [--max_steps=N] [--accountant=rdp|pld_fft|mog] \
-//             [--sampling_scheme=poisson|fixed_batch] [--print_config] \
-//             [--negative_sampling=uniform|unigram] [--unigram_power=0.75] \
-//             [--min_user_checkins=10] [--min_location_users=2] [--seed=1] \
-//             [--checkpoint_dir=ckpts] [--checkpoint_every_steps=25] \
+//   plp_train --input=checkins.csv --output=model.plpm
+//             [--embeddings_output=embeddings.plpe]
+//             [--private=true] [--eps=2] [--delta=2e-4] [--sigma=2.5]
+//             [--q=0.06] [--lambda=4] [--clip=0.5] [--epochs=100]
+//             [--max_steps=N] [--accountant=rdp|pld_fft|mog]
+//             [--sampling_scheme=poisson|fixed_batch] [--print_config]
+//             [--negative_sampling=uniform|unigram] [--unigram_power=0.75]
+//             [--min_user_checkins=10] [--min_location_users=2] [--seed=1]
+//             [--checkpoint_dir=ckpts] [--checkpoint_every_steps=25]
 //             [--resume] [--rss_cap_mb=0]
 //
 // Instead of a CSV, --corpus_dir=DIR trains straight from an on-disk PLPD
