@@ -35,10 +35,6 @@ namespace plp::bench {
 namespace {
 
 constexpr double kDelta = 2e-4;
-/// The paper's user count — fixed-batch rounds are accounted at p = B/N,
-/// so they need a concrete population (Poisson accounting is
-/// population-free).
-constexpr int64_t kPopulation = 4602;
 
 core::PlpConfig AccountingConfig(const std::string& accountant,
                                  privacy::RdpConversion conversion, double q,
@@ -58,13 +54,7 @@ core::PlpConfig AccountingConfig(const std::string& accountant,
 pipeline::RoundRecord FirstRound(const core::PlpConfig& config) {
   pipeline::RoundRecord round;
   round.step = 1;
-  round.scheme = config.sampling_scheme;
   round.sampling_ratio = config.sampling_probability;
-  round.population = kPopulation;
-  if (config.sampling_scheme == core::SamplingScheme::kFixedBatch) {
-    round.batch_size = core::FixedBatchSize(
-        static_cast<int32_t>(kPopulation), config.sampling_probability);
-  }
   round.noise_multiplier = core::EffectiveNoiseMultiplier(config, 1);
   round.split_factor = config.split_factor;
   return round;
@@ -73,8 +63,8 @@ pipeline::RoundRecord FirstRound(const core::PlpConfig& config) {
 /// Largest round count the configured Accountant stage admits inside the
 /// budget, by binary search over [0, max_steps]. Each probe builds a fresh
 /// accountant and advances it through the bulk TrackRounds path, so a
-/// probe costs one ε conversion (one FFT composition for pld_fft/mog)
-/// instead of one per round.
+/// probe costs one ε conversion (one FFT composition for pld_fft) instead
+/// of one per round.
 int64_t StepsAdmitted(const core::PlpConfig& config, int64_t max_steps) {
   const pipeline::RoundRecord first = FirstRound(config);
   const auto exhausted = [&config, &first](int64_t rounds) {
@@ -120,7 +110,7 @@ void Run(int argc, char** argv) {
       kDelta, static_cast<long long>(max_steps));
 
   TablePrinter table({"q", "sigma", "eps_budget", "naive", "advanced",
-                      "rdp_classic", "rdp_improved", "pld_fft", "mog"});
+                      "rdp_classic", "rdp_improved", "pld_fft"});
   for (double q : {0.06, 0.10}) {
     for (double sigma : {1.5, 2.5}) {
       // Per-release ε of the subsampled Gaussian for the composition
@@ -145,10 +135,6 @@ void Run(int argc, char** argv) {
             .AddCell(StepsAdmitted(
                 AccountingConfig("pld_fft", privacy::RdpConversion::kClassic,
                                  q, sigma, eps),
-                max_steps))
-            .AddCell(StepsAdmitted(
-                AccountingConfig("mog", privacy::RdpConversion::kClassic, q,
-                                 sigma, eps),
                 max_steps));
         std::printf(".");
         std::fflush(stdout);
@@ -158,61 +144,15 @@ void Run(int argc, char** argv) {
   std::printf("\n\n");
   table.PrintAligned(std::cout);
 
-  // Group-level grid (Section 4.2 Case 2 meets Ganesh's MoG analysis):
-  // the effective multiplier already normalizes by the joint sensitivity
-  // ω·C, and participation is all-or-nothing (the samplers draw whole
-  // users and the grouper places all ω parts of every sampled one), so
-  // BOTH columns are flat in ω. The mog column composes the exact
-  // dominating-pair PLD of that law instead of the RDP bound — strictly
-  // tighter in every cell — and is the only column defined for
-  // fixed-batch sampling at all.
-  std::printf(
-      "\n== Group-level grid: steps admitted at eps=2 "
-      "(q=0.06, sigma=2.5, N=%lld) ==\n\n",
-      static_cast<long long>(kPopulation));
-  TablePrinter grid({"scheme", "omega", "rdp_classic", "mog"});
-  for (const core::SamplingScheme scheme :
-       {core::SamplingScheme::kPoisson, core::SamplingScheme::kFixedBatch}) {
-    for (const int32_t omega : {1, 2, 4}) {
-      const auto grid_config = [&](const std::string& accountant) {
-        core::PlpConfig config = AccountingConfig(
-            accountant, privacy::RdpConversion::kClassic, 0.06, 2.5, 2.0);
-        config.sampling_scheme = scheme;
-        config.split_factor = omega;
-        return config;
-      };
-      auto& row = grid.NewRow()
-                      .AddCell(core::SamplingSchemeName(scheme))
-                      .AddCell(static_cast<int64_t>(omega));
-      if (scheme == core::SamplingScheme::kPoisson) {
-        row.AddCell(StepsAdmitted(grid_config("rdp"), max_steps));
-      } else {
-        row.AddCell("n/a");  // Poisson-only accountant rejects the pairing
-      }
-      row.AddCell(StepsAdmitted(grid_config("mog"), max_steps));
-      std::printf(".");
-      std::fflush(stdout);
-    }
-  }
-  std::printf("\n\n");
-  grid.PrintAligned(std::cout);
   std::printf(
       "\nClaim: the moments accountant admits far more training steps than "
       "either composition theorem at every budget — which is what makes "
       "iterative private learning feasible at all. pld_fft composes the "
       "exact privacy-loss distribution and beats the classic RDP "
-      "conversion throughout; at large step counts its pessimistic "
-      "grid rounding (error linear in steps) can concede the lead to the "
-      "improved RDP conversion. The mog column composes the group-level "
-      "Mixture-of-Gaussians PLD (Ganesh, arXiv:2401.10294) of the "
-      "pipeline's all-or-nothing participation law (whole users are "
-      "sampled, all omega parts of a sampled user enter the round), which "
-      "under Poisson coincides with pld_fft's dominating pair at every "
-      "omega. In the grid above it admits strictly more steps than the "
-      "classic RDP bound in every cell — flat in omega, since sigma is "
-      "already the joint-sensitivity multiplier — while also covering "
-      "fixed-batch sampling, which no Poisson-only accountant may "
-      "account.\n");
+      "conversion up to a few hundred steps; at large step counts its "
+      "pessimistic grid rounding (error linear in steps) can concede the "
+      "lead to the improved and even the classic RDP conversion (q=0.06, "
+      "sigma=2.5, eps=4).\n");
 }
 
 }  // namespace

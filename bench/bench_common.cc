@@ -29,7 +29,6 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
   options.locations =
       static_cast<int32_t>(flags->GetInt("locations", options.locations));
   options.accountant = flags->GetString("accountant", "");
-  options.sampling_scheme = flags->GetString("sampling_scheme", "");
   return options;
 }
 
@@ -130,11 +129,6 @@ core::PlpConfig DefaultPlpConfig(const BenchOptions& options) {
   }
   if (options.max_steps > 0) config.max_steps = options.max_steps;
   if (!options.accountant.empty()) config.accountant = options.accountant;
-  if (!options.sampling_scheme.empty()) {
-    auto scheme = core::ParseSamplingScheme(options.sampling_scheme);
-    PLP_CHECK_OK(scheme.status());
-    config.sampling_scheme = *scheme;
-  }
   PLP_CHECK_OK(config.Validate());
   return config;
 }

@@ -37,13 +37,11 @@ struct BenchOptions {
   uint64_t seed = 42;
   int64_t max_steps = 0;  ///< 0 = the bench's own budget/epoch bounds
 
-  /// Accountant / sampling-scheme overrides applied by DefaultPlpConfig
-  /// (empty = keep the config defaults). Lets CI smoke any bench under
-  /// --accountant=mog / --sampling_scheme=fixed_batch without a forked
-  /// code path; invalid names or pairings abort with the same message
-  /// PlpConfig::Validate would produce.
+  /// Accountant override applied by DefaultPlpConfig (empty = keep the
+  /// config default). Lets CI smoke any bench under --accountant=pld_fft
+  /// without a forked code path; an invalid name aborts with the message
+  /// PlpConfig::Validate produces.
   std::string accountant;
-  std::string sampling_scheme;
 
   // --scale=large knobs.
   std::string corpus_dir;       ///< empty = seed-stamped temp directory

@@ -30,11 +30,10 @@ enum class TrainerKind : uint8_t {
   kNonPrivate = 2,  ///< core::NonPrivateTrainer
 };
 
-/// The sampling scheme the run was accounted under (mirrors
-/// core::SamplingScheme — redeclared here so plp_ckpt stays independent of
-/// plp_core). The accountant blob's meaning depends on it, so resuming a
-/// snapshot under a different scheme is rejected exactly like resuming
-/// under a different accountant.
+/// The sampling scheme the run was accounted under — the PLPC v2 scheme
+/// byte. Trainers write only kPoisson. kFixedBatch still decodes so that a
+/// snapshot of a retired fixed-batch run is read, and then refused by the
+/// engine by name, rather than skipped as undecodable.
 enum class SamplingScheme : uint8_t {
   kPoisson = 1,
   kFixedBatch = 2,

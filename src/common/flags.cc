@@ -59,6 +59,13 @@ bool FlagParser::Has(const std::string& key) const {
   return values_.count(key) > 0;
 }
 
+std::vector<std::string> FlagParser::keys() const {
+  std::vector<std::string> out;
+  out.reserve(values_.size());
+  for (const auto& [key, value] : values_) out.push_back(key);
+  return out;
+}
+
 std::string FlagParser::GetString(const std::string& key,
                                   const std::string& def) const {
   const auto it = values_.find(key);

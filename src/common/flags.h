@@ -24,6 +24,10 @@ class FlagParser {
   /// True if the flag was present on the command line.
   bool Has(const std::string& key) const;
 
+  /// Every key present on the command line, in ascending order, so a
+  /// binary can refuse the ones it does not read.
+  std::vector<std::string> keys() const;
+
   /// Typed getters; return `def` when the flag is absent and abort via
   /// PLP_CHECK when the value cannot be parsed as the requested type.
   std::string GetString(const std::string& key, const std::string& def) const;

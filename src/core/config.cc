@@ -1,11 +1,8 @@
 #include "core/config.h"
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
-
-#include "privacy/pld_accountant.h"
 
 namespace plp::core {
 namespace {
@@ -23,17 +20,6 @@ Status CollectViolations(const std::vector<std::string>& violations) {
 }
 
 }  // namespace
-
-Result<SamplingScheme> ParseSamplingScheme(const std::string& name) {
-  if (name == "poisson") return SamplingScheme::kPoisson;
-  if (name == "fixed_batch") return SamplingScheme::kFixedBatch;
-  return InvalidArgumentError("unknown sampling scheme: " + name +
-                              " (valid: poisson, fixed_batch)");
-}
-
-const char* SamplingSchemeName(SamplingScheme scheme) {
-  return scheme == SamplingScheme::kFixedBatch ? "fixed_batch" : "poisson";
-}
 
 Status PlpConfig::Validate() const {
   std::vector<std::string> violations;
@@ -58,27 +44,9 @@ Status PlpConfig::Validate() const {
   if (server_optimizer != "dp_adam" && server_optimizer != "fixed_step") {
     violations.push_back("unknown server_optimizer: " + server_optimizer);
   }
-  if (accountant != "rdp" && accountant != "pld_fft" &&
-      accountant != "mog") {
-    violations.push_back("unknown accountant: " + accountant);
-  } else if (sampling_scheme == SamplingScheme::kFixedBatch &&
-             accountant != "mog") {
-    // The rdp ledger and the pld_fft accountant both hard-code the
-    // Poisson-subsampled Gaussian's dominating pair; feeding them
-    // fixed-batch rounds would certify the wrong mechanism.
-    violations.push_back(
-        "accountant \"" + accountant +
-        "\" models Poisson sampling only; valid (scheme, accountant) pairs "
-        "are poisson x {rdp, pld_fft, mog} and fixed_batch x {mog}");
-  }
-  if (accountant == "mog" &&
-      split_factor > privacy::kMogMaxSplitFactor) {
-    // The mog Accountant stage rejects larger ω; catching it here fails
-    // the run before corpus loading instead of at the first TrackRound.
-    violations.push_back(
-        "accountant \"mog\" supports split_factor <= " +
-        std::to_string(privacy::kMogMaxSplitFactor) +
-        " (kMogMaxSplitFactor); got " + std::to_string(split_factor));
+  if (accountant != "rdp" && accountant != "pld_fft") {
+    violations.push_back("unknown accountant: " + accountant +
+                         " (valid: rdp, pld_fft)");
   }
   require(max_steps > 0, "max_steps must be > 0");
   require(num_threads >= 1, "num_threads must be >= 1");
@@ -106,13 +74,6 @@ double EffectiveNoiseMultiplier(const PlpConfig& config, int64_t step) {
   return config.per_tensor_noise
              ? sigma_t / std::sqrt(static_cast<double>(sgns::kNumTensors))
              : sigma_t;
-}
-
-int32_t FixedBatchSize(int32_t num_users, double q) {
-  const int64_t rounded =
-      std::llround(q * static_cast<double>(num_users));
-  return static_cast<int32_t>(
-      std::clamp<int64_t>(rounded, 1, num_users));
 }
 
 }  // namespace plp::core

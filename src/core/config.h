@@ -11,17 +11,6 @@
 
 namespace plp::core {
 
-/// How sampled users are pooled into buckets (Section 4.1: groupData).
-enum class GroupingKind {
-  /// Users are randomly permuted and chunked into buckets of λ (the
-  /// paper's default — equal-frequency showed "no statistically
-  /// significant benefit").
-  kRandom,
-  /// Greedy balancing so buckets hold approximately equal record counts,
-  /// never splitting one user across buckets.
-  kEqualFrequency,
-};
-
 /// How a bucket turns its data into a model update (lines 15–22).
 enum class LocalUpdateMode {
   /// PLP: shuffled mini-batch SGD over the bucket's pairs (Algorithm 1's
@@ -33,23 +22,12 @@ enum class LocalUpdateMode {
   kSingleGradient,
 };
 
-/// How each round's participating users are drawn (line 5).
+/// How each round's participating users are drawn (line 5): each user
+/// independently with probability q, the only scheme. Kept as a type only
+/// because the benchmark's workloads assign it; nothing branches on it.
 enum class SamplingScheme : uint8_t {
-  /// Each user independently with probability q (the paper's scheme; the
-  /// RDP moments accountant and the pld_fft accountant both assume it).
   kPoisson = 1,
-  /// Exactly B = round(q·N) distinct users drawn uniformly without
-  /// replacement every round. Only the "mog" accountant models this
-  /// sampling law tightly; the Poisson-only accountants reject it.
-  kFixedBatch = 2,
 };
-
-/// "poisson" / "fixed_batch" → the enum; anything else is
-/// kInvalidArgument naming the valid spellings.
-Result<SamplingScheme> ParseSamplingScheme(const std::string& name);
-
-/// The inverse of ParseSamplingScheme (flag echo, stage descriptions).
-const char* SamplingSchemeName(SamplingScheme scheme);
 
 /// Full configuration of Private Location Prediction (Algorithm 1).
 /// Defaults are the paper's (Section 5.1): q=0.06, σ=2.5, C=0.5, λ=4,
@@ -59,12 +37,13 @@ struct PlpConfig {
 
   // --- sampling & grouping ---
   double sampling_probability = 0.06;  ///< q = m/N (per-user)
-  /// Poisson (q per user, the paper's default) or fixed_batch (exactly
-  /// round(q·N) users per round). fixed_batch requires accountant "mog" —
-  /// the Poisson-only accountants would account the wrong mechanism.
+  /// Always Poisson. Kept because the benchmark's workloads read it into
+  /// their round records; the next benchmark change can drop it.
   SamplingScheme sampling_scheme = SamplingScheme::kPoisson;
-  int32_t grouping_factor = 4;         ///< λ: users per bucket
-  GroupingKind grouping = GroupingKind::kRandom;
+  /// λ: users per bucket. The sample is randomly permuted and chunked
+  /// (the paper found "no statistically significant benefit" from
+  /// equal-frequency grouping), or split ω ways when ω > 1.
+  int32_t grouping_factor = 4;
   int32_t split_factor = 1;  ///< ω: buckets a user's data may reach (§4.2)
 
   // --- privacy mechanism ---
@@ -79,15 +58,10 @@ struct PlpConfig {
   privacy::RdpConversion rdp_conversion = privacy::RdpConversion::kClassic;
 
   /// Accountant stage implementation: "rdp" (the moments-accountant
-  /// ledger, the default), or one of the two spellings of the FFT-composed
-  /// privacy-loss-distribution accountant (Koskela et al.,
+  /// ledger, the default) or "pld_fft" (the FFT-composed
+  /// privacy-loss-distribution accountant of Koskela et al.,
   /// arXiv:1906.03049; tighter ε at the same (q, σ, δ), so more steps
-  /// inside the same budget): "pld_fft" accounts Poisson rounds only,
-  /// "mog" (named for the Mixture-of-Gaussians reduction of Ganesh,
-  /// arXiv:2401.10294) also accounts fixed_batch rounds at p = B/N. Both
-  /// spellings are the same mechanism with the same ε bits, so a
-  /// checkpoint written under one resumes under the other; resuming
-  /// between rdp and a PLD spelling is rejected.
+  /// inside the same budget). Resuming between the two is rejected.
   std::string accountant = "rdp";
 
   /// Flexible budget allocation across learning stages (the paper's
@@ -169,10 +143,6 @@ double NoiseScaleAt(const PlpConfig& config, int64_t step);
 /// accountant stage receives exactly this value via the round record, so
 /// accounting matches the aggregator's calibration bit-for-bit.
 double EffectiveNoiseMultiplier(const PlpConfig& config, int64_t step);
-
-/// The fixed-batch round size B = round(q·N), clamped to [1, N] — the
-/// deterministic analogue of the Poisson sample's expectation.
-int32_t FixedBatchSize(int32_t num_users, double q);
 
 }  // namespace plp::core
 

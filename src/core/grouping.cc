@@ -25,27 +25,6 @@ std::vector<int32_t> PoissonSampleUsers(int32_t num_users, double q,
   return sample;
 }
 
-std::vector<int32_t> FixedBatchSampleUsers(int32_t num_users,
-                                           int32_t batch_size, Rng& rng) {
-  PLP_CHECK(batch_size >= 1 && batch_size <= num_users);
-  // Partial Fisher–Yates over the id range: exactly batch_size UniformInt
-  // draws (data-independent count), exactly batch_size distinct users.
-  std::vector<int32_t> pool(static_cast<size_t>(num_users));
-  for (int32_t u = 0; u < num_users; ++u) pool[static_cast<size_t>(u)] = u;
-  std::vector<int32_t> sample;
-  sample.reserve(static_cast<size_t>(batch_size));
-  for (int32_t i = 0; i < batch_size; ++i) {
-    const size_t j =
-        static_cast<size_t>(i) +
-        static_cast<size_t>(rng.UniformInt(
-            static_cast<uint64_t>(num_users - i)));
-    std::swap(pool[static_cast<size_t>(i)], pool[j]);
-    sample.push_back(pool[static_cast<size_t>(i)]);
-  }
-  std::sort(sample.begin(), sample.end());
-  return sample;
-}
-
 namespace {
 
 /// Flattens one user's sentences into a single token stream (used by the
@@ -90,42 +69,6 @@ std::vector<Bucket> BuildRandomBuckets(
       AppendUserToBucket(corpus, u, bucket);
     }
     buckets.push_back(std::move(bucket));
-  }
-  return buckets;
-}
-
-std::vector<Bucket> BuildEqualFrequencyBuckets(
-    const data::CorpusView& corpus,
-    std::vector<int32_t> sampled_users, int32_t lambda) {
-  const size_t n = sampled_users.size();
-  const size_t num_buckets =
-      (n + static_cast<size_t>(lambda) - 1) / static_cast<size_t>(lambda);
-  // Longest-processing-time greedy: biggest users first, each to the
-  // lightest bucket that still has capacity (every bucket holds <= λ users
-  // so "the data records of each user are not split into multiple buckets").
-  std::vector<int64_t> user_tokens(n);
-  for (size_t i = 0; i < n; ++i) {
-    user_tokens[i] = corpus.UserTokenCount(sampled_users[i]);
-  }
-  std::vector<size_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return user_tokens[a] > user_tokens[b];
-  });
-
-  std::vector<Bucket> buckets(num_buckets);
-  std::vector<int64_t> load(num_buckets, 0);
-  for (size_t idx : order) {
-    size_t best = num_buckets;  // invalid
-    for (size_t bkt = 0; bkt < num_buckets; ++bkt) {
-      if (buckets[bkt].users.size() >= static_cast<size_t>(lambda)) continue;
-      if (best == num_buckets || load[bkt] < load[best]) best = bkt;
-    }
-    PLP_CHECK_LT(best, num_buckets);
-    const int32_t u = sampled_users[idx];
-    buckets[best].users.push_back(u);
-    AppendUserToBucket(corpus, u, buckets[best]);
-    load[best] += user_tokens[idx];
   }
   return buckets;
 }
@@ -182,10 +125,6 @@ std::vector<Bucket> BuildBuckets(const data::CorpusView& corpus,
   if (sampled_users.empty()) return {};
   if (config.split_factor > 1) {
     return BuildSplitBuckets(corpus, sampled_users, config, rng);
-  }
-  if (config.grouping == GroupingKind::kEqualFrequency) {
-    return BuildEqualFrequencyBuckets(corpus, sampled_users,
-                                      config.grouping_factor);
   }
   return BuildRandomBuckets(corpus, sampled_users, config.grouping_factor,
                             rng);

@@ -28,20 +28,8 @@ struct Bucket {
 std::vector<int32_t> PoissonSampleUsers(int32_t num_users, double q,
                                         Rng& rng);
 
-/// Fixed-batch sampling: exactly `batch_size` distinct users drawn
-/// uniformly without replacement (ascending ids out, like the Poisson
-/// sampler). Consumes exactly `batch_size` draws from `rng` regardless of
-/// which users are selected, so the trainer's RNG stream stays
-/// data-independent — the same alignment contract the Poisson sampler
-/// satisfies with its N Bernoulli draws.
-std::vector<int32_t> FixedBatchSampleUsers(int32_t num_users,
-                                           int32_t batch_size, Rng& rng);
-
-/// groupData(U_sample, λ) — pools the sampled users' data into buckets.
-///
-/// * GroupingKind::kRandom: random permutation chunked into groups of λ.
-/// * GroupingKind::kEqualFrequency: greedy balancing of record counts
-///   across ceil(n/λ) buckets without splitting a user.
+/// groupData(U_sample, λ) — pools the sampled users' data into buckets:
+/// a random permutation chunked into groups of λ.
 ///
 /// With config.split_factor ω > 1, each user's token stream is cut into ω
 /// contiguous parts which are assigned to ω *distinct* buckets (Section 4.2

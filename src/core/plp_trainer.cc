@@ -22,7 +22,6 @@ DpSgdTrainer::DpSgdTrainer(const PlpConfig& config)
         PlpConfig c = config;
         c.grouping_factor = 1;
         c.split_factor = 1;
-        c.grouping = GroupingKind::kRandom;
         c.local_update = LocalUpdateMode::kSingleGradient;
         return c;
       }()) {}

@@ -118,7 +118,7 @@ class PlpTrainer {
 /// (λ = 1), i.e. one clipped update per sampled user.
 class DpSgdTrainer {
  public:
-  /// Copies `config` with grouping disabled (λ = 1, ω = 1, random).
+  /// Copies `config` with grouping disabled (λ = 1, ω = 1).
   explicit DpSgdTrainer(const PlpConfig& config);
 
   const PlpConfig& config() const { return trainer_.config(); }

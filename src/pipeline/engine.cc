@@ -22,22 +22,13 @@ namespace {
 /// Snapshots the full mutable training state after completed step `step`.
 /// The accountant/optimizer states embed as opaque blobs: each stage
 /// serializes itself, the checkpoint format stays ignorant of their layout.
-/// core::SamplingScheme → its checkpoint-envelope twin (plp_ckpt cannot
-/// depend on plp_core, so the enum is redeclared there).
-ckpt::SamplingScheme ToCkptScheme(core::SamplingScheme scheme) {
-  return scheme == core::SamplingScheme::kFixedBatch
-             ? ckpt::SamplingScheme::kFixedBatch
-             : ckpt::SamplingScheme::kPoisson;
-}
-
-ckpt::TrainerSnapshot MakeSnapshot(ckpt::TrainerKind kind,
-                                   ckpt::SamplingScheme scheme, int64_t step,
+/// The envelope's scheme byte keeps its default, Poisson.
+ckpt::TrainerSnapshot MakeSnapshot(ckpt::TrainerKind kind, int64_t step,
                                    const Rng& rng, const Accountant& accountant,
                                    const ServerOptimizer& server,
                                    const sgns::SgnsModel& model) {
   ckpt::TrainerSnapshot snapshot;
   snapshot.kind = kind;
-  snapshot.scheme = scheme;
   snapshot.step = step;
   snapshot.rng = rng.SaveState();
   snapshot.ledger_blob = accountant.SaveBlob();
@@ -93,13 +84,15 @@ Result<core::TrainResult> TrainingEngine::Train(
         return InvalidArgumentError(
             "checkpoint was written by a different trainer kind");
       }
-      // The accountant blob certifies rounds of a specific sampling law;
-      // continuing those entries under another law would compose two
-      // different mechanisms into one ε. Same rejection contract as
-      // resuming under a different accountant.
-      if (snapshot.scheme != ToCkptScheme(config_.policy.scheme)) {
+      // A fixed-batch run's ledger certified its rounds with the Poisson
+      // pair, which does not bound a fixed batch's ε; refuse to continue
+      // it. The refusal lives here, not in the decoder: LoadLatest skips
+      // snapshots it cannot decode, so a decoder refusal would start a
+      // fresh run whose pruning deletes the old checkpoints.
+      if (snapshot.scheme != ckpt::SamplingScheme::kPoisson) {
         return InvalidArgumentError(
-            "checkpoint was written under a different sampling scheme");
+            "checkpoint was written under fixed-batch sampling, which is "
+            "no longer supported; only Poisson-sampled runs resume");
       }
       if (snapshot.model.num_locations() != corpus.NumLocations() ||
           snapshot.model.dim() != config_.sgns.embedding_dim) {
@@ -157,18 +150,10 @@ Result<core::TrainResult> TrainingEngine::Train(
   std::vector<uint8_t> clip_engaged;
   const bool bucket_parallel = stages_.updater->BucketParallel();
 
-  // The round template every step's RoundRecord is stamped from: the
-  // policy's mechanism parameters plus the corpus-dependent population and
-  // (fixed-batch) round size, resolved once.
+  // The round template every step's RoundRecord is stamped from.
   RoundRecord round_template;
-  round_template.scheme = config_.policy.scheme;
   round_template.sampling_ratio = config_.policy.sampling_ratio;
-  round_template.population = corpus.NumUsers();
   round_template.split_factor = config_.policy.split_factor;
-  if (config_.policy.scheme == core::SamplingScheme::kFixedBatch) {
-    round_template.batch_size = core::FixedBatchSize(
-        corpus.NumUsers(), config_.policy.sampling_ratio);
-  }
 
   for (int64_t step = start_step + 1; step <= config_.max_steps; ++step) {
     // Consume this step's budget first; if it overruns, return θ_{t-1} —
@@ -315,9 +300,9 @@ Result<core::TrainResult> TrainingEngine::Train(
     if (manager && step % checkpoint.every_steps == 0) {
       PLP_FAULT_POINT("trainer.before_checkpoint");
       phase.Reset();
-      PLP_RETURN_IF_ERROR(manager->Save(MakeSnapshot(
-          config_.kind, ToCkptScheme(config_.policy.scheme), step, rng,
-          *stages_.accountant, *stages_.server, result.model)));
+      PLP_RETURN_IF_ERROR(manager->Save(
+          MakeSnapshot(config_.kind, step, rng, *stages_.accountant,
+                       *stages_.server, result.model)));
       result.phase_seconds.checkpoint += phase.ElapsedSeconds();
     }
 

@@ -20,7 +20,6 @@ namespace plp::pipeline {
 /// own config copy) is what keeps the released mechanism and the certified
 /// mechanism structurally identical.
 struct RoundPolicy {
-  core::SamplingScheme scheme = core::SamplingScheme::kPoisson;
   double sampling_ratio = 0.0;  ///< q
   int32_t split_factor = 1;     ///< configured ω
   /// Private runs assert realized ω ≤ configured ω after every grouping —

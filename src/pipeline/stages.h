@@ -161,18 +161,18 @@ struct BudgetDecision {
 /// benches fill it by hand for accounting-only sweeps.
 struct RoundRecord {
   int64_t step = 0;  ///< 1-based round index
+  /// Always Poisson; `scheme` and `population` stay only because the
+  /// benchmark's workloads assign them. No accountant reads either.
   core::SamplingScheme scheme = core::SamplingScheme::kPoisson;
-  double sampling_ratio = 0.0;  ///< q (Poisson probability, or B/N intent)
-  int64_t batch_size = 0;       ///< B (fixed_batch; 0 under Poisson)
+  double sampling_ratio = 0.0;  ///< q, the Poisson probability
   int64_t population = 0;       ///< N users in the corpus
   double noise_multiplier = 0.0;  ///< σ relative to joint sensitivity ω·C
   int32_t split_factor = 1;       ///< configured ω
 };
 
 /// Lines 3 and 11–13: tracks each round's privacy spend and gates on the
-/// budget. Implementations own their conversion (RDP orders, PLD grid)
-/// and must reject a RoundRecord whose sampling scheme their analysis
-/// does not cover, instead of silently accounting the wrong mechanism.
+/// budget. Implementations own their conversion (RDP orders, PLD grid) of
+/// the Poisson-subsampled Gaussian.
 class Accountant {
  public:
   virtual ~Accountant() = default;

@@ -34,27 +34,9 @@ class PoissonSampler final : public UserSampler {
   double q_;
 };
 
-/// Line 5, fixed-batch variant: exactly B = round(q·N) distinct users
-/// every round. Only meaningful with the "mog" accountant (config
-/// validation enforces the pairing).
-class FixedBatchSampler final : public UserSampler {
- public:
-  explicit FixedBatchSampler(double q) : q_(q) {}
-
-  std::vector<int32_t> Sample(const data::CorpusView& corpus,
-                              Rng& rng) override {
-    return core::FixedBatchSampleUsers(
-        corpus.NumUsers(), core::FixedBatchSize(corpus.NumUsers(), q_), rng);
-  }
-
- private:
-  double q_;
-};
-
-/// Line 6: groupData(U_sample, λ, ω) per the configured GroupingKind. The
-/// split bound ω is enforced here — the ω·C sensitivity argument of the
-/// aggregator is unsound without it, so violation aborts rather than
-/// erroring.
+/// Line 6: groupData(U_sample, λ, ω), random or ω-split. The split bound ω
+/// is enforced here — the ω·C sensitivity argument of the aggregator is
+/// unsound without it, so violation aborts rather than erroring.
 class ConfiguredGrouper final : public Grouper {
  public:
   explicit ConfiguredGrouper(const core::PlpConfig& config)
@@ -170,19 +152,6 @@ class GaussianAggregator final : public NoisyAggregator {
   double expected_buckets_ = 1.0;
 };
 
-/// Poisson-only accountants must refuse fixed-batch rounds — their
-/// dominating pairs certify a different mechanism. Config validation
-/// rejects the pairing up front; this is the stage-level backstop for
-/// hand-assembled StageSets, and its message names the valid pairs.
-Status RejectNonPoissonRound(const char* accountant_name,
-                             const RoundRecord& round) {
-  if (round.scheme == core::SamplingScheme::kPoisson) return Status::Ok();
-  return InvalidArgumentError(
-      std::string("accountant \"") + accountant_name +
-      "\" models Poisson sampling only; valid (scheme, accountant) pairs "
-      "are poisson x {rdp, pld_fft, mog} and fixed_batch x {mog}");
-}
-
 /// Checkpoint invariants every accountant blob must meet before it
 /// replaces the live state: fully consumed, the configured δ, and — the
 /// ledger-first invariant — exactly `step` tracked rounds, so the ledger
@@ -212,7 +181,6 @@ class LedgerAccountant final : public Accountant {
       : config_(config), ledger_(config.delta) {}
 
   Result<BudgetDecision> TrackRound(const RoundRecord& round) override {
-    PLP_RETURN_IF_ERROR(RejectNonPoissonRound("rdp", round));
     PLP_RETURN_IF_ERROR(
         ledger_.TrackStep(round.sampling_ratio, round.noise_multiplier));
     BudgetDecision decision;
@@ -228,7 +196,6 @@ class LedgerAccountant final : public Accountant {
     // RDP → (ε, δ) conversion is done once at the end instead of per
     // round. σ_t is recomputed per step so the sweep stays exact under a
     // noise-decay schedule.
-    PLP_RETURN_IF_ERROR(RejectNonPoissonRound("rdp", first));
     for (int64_t i = 0; i < count; ++i) {
       PLP_RETURN_IF_ERROR(ledger_.TrackStep(
           first.sampling_ratio,
@@ -263,7 +230,7 @@ class LedgerAccountant final : public Accountant {
       if (privacy::PldAccountant::Restore(reader).ok()) {
         return InvalidArgumentError(
             "checkpoint ledger was written by the PLD accountant "
-            "(pld_fft/mog), not rdp");
+            "(pld_fft), not rdp");
       }
       return restored.status();
     }
@@ -277,17 +244,13 @@ class LedgerAccountant final : public Accountant {
 };
 
 /// Lines 3 + 11–13 with the FFT privacy-loss-distribution accountant
-/// (Koskela et al.) behind both of its spellings. "pld_fft" refuses
-/// fixed-batch rounds; "mog" accounts them at p = B/N and keeps that
-/// spelling's ω <= kMogMaxSplitFactor bound. Same tracking policy and
-/// checkpoint invariants as the ledger, tighter ε oracle. Either spelling
-/// restores the PLD1 blobs both write and the MOG1 blobs "mog" wrote
-/// before it shared this accountant.
+/// (Koskela et al.), "pld_fft". Same tracking policy and checkpoint
+/// invariants as the ledger, tighter ε oracle. Restores the PLD1 blobs it
+/// writes and the Poisson MOG1 blobs of the retired "mog" spelling.
 class PldStageAccountant final : public Accountant {
  public:
   explicit PldStageAccountant(const core::PlpConfig& config)
-      : config_(config), mog_(config.accountant == "mog"),
-        pld_(config.delta) {}
+      : config_(config), pld_(config.delta) {}
 
   Result<BudgetDecision> TrackRound(const RoundRecord& round) override {
     PLP_RETURN_IF_ERROR(AddRound(round));
@@ -326,26 +289,9 @@ class PldStageAccountant final : public Accountant {
 
  private:
   /// One round at the protected user's participation probability: the
-  /// pipeline samples whole users, so p = q under Poisson and p = B/N
-  /// under fixed batch (see PldAccountant).
+  /// pipeline samples whole users, so p = q (see PldAccountant).
   Status AddRound(const RoundRecord& round) {
-    if (!mog_) {
-      PLP_RETURN_IF_ERROR(RejectNonPoissonRound("pld_fft", round));
-    } else if (round.split_factor < 1 ||
-               round.split_factor > privacy::kMogMaxSplitFactor) {
-      return InvalidArgumentError("split factor must be in [1, 64]");
-    }
-    double p = round.sampling_ratio;
-    if (round.scheme == core::SamplingScheme::kFixedBatch) {
-      if (round.population < 1 || round.batch_size < 1 ||
-          round.batch_size > round.population) {
-        return InvalidArgumentError(
-            "fixed batch requires 1 <= batch_size <= population");
-      }
-      p = static_cast<double>(round.batch_size) /
-          static_cast<double>(round.population);
-    }
-    return pld_.AddSteps(p, round.noise_multiplier, 1);
+    return pld_.AddSteps(round.sampling_ratio, round.noise_multiplier, 1);
   }
 
   BudgetDecision Decide() const {
@@ -356,7 +302,6 @@ class PldStageAccountant final : public Accountant {
   }
 
   core::PlpConfig config_;
-  bool mog_;  ///< the "mog" spelling: fixed-batch rounds allowed
   privacy::PldAccountant pld_;
 };
 
@@ -617,19 +562,14 @@ std::unique_ptr<Accountant> MakeAccountant(const core::PlpConfig& config) {
   if (config.accountant == "rdp") {
     return std::make_unique<LedgerAccountant>(config);
   }
-  PLP_CHECK(config.accountant == "pld_fft" || config.accountant == "mog");
+  PLP_CHECK(config.accountant == "pld_fft");
   return std::make_unique<PldStageAccountant>(config);
 }
 
 StageSet MakePrivateStages(const core::PlpConfig& config) {
   StageSet stages;
-  if (config.sampling_scheme == core::SamplingScheme::kFixedBatch) {
-    stages.sampler =
-        std::make_unique<FixedBatchSampler>(config.sampling_probability);
-  } else {
-    stages.sampler =
-        std::make_unique<PoissonSampler>(config.sampling_probability);
-  }
+  stages.sampler =
+      std::make_unique<PoissonSampler>(config.sampling_probability);
   stages.grouper = std::make_unique<ConfiguredGrouper>(config);
   stages.updater = std::make_unique<BucketSgdUpdater>(config);
   stages.clipper = std::make_unique<PerTensorClipper>(config.clip_norm);
@@ -646,7 +586,6 @@ EngineConfig MakePrivateEngineConfig(const core::PlpConfig& config) {
   engine.max_steps = config.max_steps;
   engine.num_threads = config.num_threads;
   engine.kind = ckpt::TrainerKind::kPrivate;
-  engine.policy.scheme = config.sampling_scheme;
   engine.policy.sampling_ratio = config.sampling_probability;
   engine.policy.split_factor = config.split_factor;
   engine.policy.enforce_split_bound = true;
@@ -679,10 +618,6 @@ EngineConfig MakeNonPrivateEngineConfig(const core::NonPrivateConfig& config) {
 }
 
 std::string DescribeStages(const core::PlpConfig& config) {
-  const auto grouping_name = [&] {
-    return config.grouping == core::GroupingKind::kRandom ? "random"
-                                                          : "equal_frequency";
-  };
   const auto updater_name = [&] {
     return config.local_update == core::LocalUpdateMode::kMultiBatchSgd
                ? "multi_batch_sgd"
@@ -690,11 +625,10 @@ std::string DescribeStages(const core::PlpConfig& config) {
   };
   std::string out;
   out += "pipeline stages (Algorithm 1):\n";
-  out += "  UserSampler      " +
-         std::string(core::SamplingSchemeName(config.sampling_scheme)) +
-         "(q=" + std::to_string(config.sampling_probability) + ")\n";
-  out += "  Grouper          " + std::string(grouping_name()) +
-         "(lambda=" + std::to_string(config.grouping_factor) +
+  out += "  UserSampler      poisson(q=" +
+         std::to_string(config.sampling_probability) + ")\n";
+  out += "  Grouper          random(lambda=" +
+         std::to_string(config.grouping_factor) +
          ", omega=" + std::to_string(config.split_factor) + ")\n";
   out += "  LocalUpdater     " + std::string(updater_name()) +
          "(batch=" + std::to_string(config.batch_size) +

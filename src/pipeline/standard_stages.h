@@ -26,11 +26,10 @@ StageSet MakeNonPrivateStages(const core::NonPrivateConfig& config);
 EngineConfig MakeNonPrivateEngineConfig(const core::NonPrivateConfig& config);
 
 /// The accountant stage selected by `config.accountant` ("rdp" → the RDP
-/// moments-accountant ledger; "pld_fft" and "mog" → the FFT-composed
+/// moments-accountant ledger; "pld_fft" → the FFT-composed
 /// privacy-loss-distribution accountant of Koskela et al.,
 /// arXiv:1906.03049, over the pipeline's all-or-nothing participation
-/// law, where only the "mog" spelling accepts fixed_batch rounds).
-/// Aborts on names Validate() would reject.
+/// law). Aborts on names Validate() would reject.
 std::unique_ptr<Accountant> MakeAccountant(const core::PlpConfig& config);
 
 /// One line per stage naming the chosen implementation and its parameters

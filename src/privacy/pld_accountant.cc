@@ -19,9 +19,10 @@ constexpr uint32_t kBlobMagic = 0x31444C50;      // "PLD1" little-endian
 constexpr uint32_t kMog1BlobMagic = 0x31474F4D;  // "MOG1" little-endian
 constexpr uint64_t kMaxEntries = 1u << 20;
 
-/// MOG1 entry scheme bytes.
+/// MOG1 entry scheme bytes, and the ω bound the mog spelling enforced.
 constexpr uint8_t kMog1Poisson = 1;
 constexpr uint8_t kMog1FixedBatch = 2;
+constexpr int32_t kMogMaxSplitFactor = 64;
 
 /// CDF of the dominating distribution P = (1−p)N(0,σ²) + pN(1,σ²).
 double UpperCdf(double p, double sigma, double x) {
@@ -85,34 +86,31 @@ Result<PldEntry> ReadPld1Entry(ByteReader& reader) {
 }
 
 /// One MOG1 entry: (scheme, ratio, B, N, σ, ω, steps). p is the ratio q
-/// of a Poisson entry and B/N of a fixed-batch one, whose recorded ratio
-/// is informational only. ω does not enter ε; it is range-checked as the
-/// mog accountant always did.
+/// of a Poisson entry. A fixed-batch entry is refused: its rounds were
+/// accounted with the Poisson pair at p = B/N, which under-reports the ε
+/// of a fixed batch, where one user's inclusion displaces another. ω does
+/// not enter ε; it is range-checked as the mog accountant always did.
 Result<PldEntry> ReadMog1Entry(ByteReader& reader) {
   PLP_ASSIGN_OR_RETURN(const uint8_t scheme, reader.U8());
-  if (scheme != kMog1Poisson && scheme != kMog1FixedBatch) {
+  if (scheme == kMog1FixedBatch) {
+    return InvalidArgumentError(
+        "MOG1 blob: fixed-batch sampling entries are not resumable (their "
+        "rounds were accounted with the Poisson pair)");
+  }
+  if (scheme != kMog1Poisson) {
     return InvalidArgumentError("MOG1 blob: unknown sampling scheme");
   }
   PldEntry entry;
-  PLP_ASSIGN_OR_RETURN(const double ratio, reader.F64());
-  PLP_ASSIGN_OR_RETURN(const int64_t batch_size, reader.I64());
-  PLP_ASSIGN_OR_RETURN(const int64_t population, reader.I64());
+  PLP_ASSIGN_OR_RETURN(entry.participation_probability, reader.F64());
+  // B and N: only fixed-batch entries used them.
+  PLP_RETURN_IF_ERROR(reader.I64().status());
+  PLP_RETURN_IF_ERROR(reader.I64().status());
   PLP_ASSIGN_OR_RETURN(entry.noise_multiplier, reader.F64());
   PLP_ASSIGN_OR_RETURN(const int32_t split_factor, reader.I32());
   PLP_ASSIGN_OR_RETURN(entry.steps, reader.I64());
   if (split_factor < 1 || split_factor > kMogMaxSplitFactor) {
     return InvalidArgumentError("MOG1 blob: split factor must be in [1, 64]");
   }
-  if (scheme == kMog1Poisson) {
-    entry.participation_probability = ratio;
-    return entry;
-  }
-  if (population < 1 || batch_size < 1 || batch_size > population) {
-    return InvalidArgumentError(
-        "MOG1 blob: fixed batch requires 1 <= batch_size <= population");
-  }
-  entry.participation_probability =
-      static_cast<double>(batch_size) / static_cast<double>(population);
   return entry;
 }
 
@@ -334,8 +332,8 @@ Result<PldAccountant> PldAccountant::Restore(ByteReader& reader) {
                                                    : ReadMog1Entry(reader));
     PLP_RETURN_IF_ERROR(ValidateEntry(entry));
     // Verbatim, not coalesced: two MOG1 entries that differed only in ω
-    // or scheme map to equal (p, σ), and merging their powers would move
-    // ε's last bits.
+    // map to equal (p, σ), and merging their powers would move ε's last
+    // bits.
     accountant.entries_.push_back(entry);
     accountant.total_steps_ += entry.steps;
   }

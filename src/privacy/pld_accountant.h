@@ -12,13 +12,6 @@
 
 namespace plp::privacy {
 
-/// Upper bound on the split factor ω under --accountant=mog. ε does not
-/// depend on ω (see PldAccountant), but the "mog" spelling has always
-/// refused larger ω: PlpConfig::Validate rejects it before corpus
-/// loading, the mog Accountant stage rejects such rounds, and restoring a
-/// legacy MOG1 blob rejects entries outside [1, kMogMaxSplitFactor].
-inline constexpr int32_t kMogMaxSplitFactor = 64;
-
 /// One coalesced run of identical subsampled-Gaussian rounds.
 struct PldEntry {
   double participation_probability = 0.0;  ///< p
@@ -27,19 +20,21 @@ struct PldEntry {
 };
 
 /// Privacy-loss-distribution accountant for the subsampled Gaussian
-/// mechanism under remove-adjacency (Koskela et al., arXiv:1906.03049).
-/// The dominating pair is
+/// mechanism (Koskela et al., arXiv:1906.03049) under zero-out adjacency:
+/// the neighbor replaces one user's records by none, the user's id stays
+/// in the population, and N is public. The dominating pair is
 ///
 ///   P = (1−p)·N(0, σ²) + p·N(1, σ²)   vs   Q = N(0, σ²),
 ///
 /// with p the protected user's per-round participation probability and σ
 /// the noise multiplier relative to the joint sensitivity ω·C, so the
-/// shift is 1 at every ω. The pipeline samples whole users and places all
-/// ω parts of every sampled user into the round, so participation is
-/// all-or-nothing: p = q under Poisson sampling, and p = B/N when exactly
-/// B of the N users are drawn without replacement (the marginal of the
-/// Hypergeometric(N, 1, B) draw; the Mixture-of-Gaussians reduction of
-/// Ganesh, arXiv:2401.10294, collapses to this pair). The privacy loss at
+/// shift is 1 at every ω. The pipeline Poisson-samples whole users and
+/// places all ω parts of every sampled user into the round, so
+/// participation is all-or-nothing with p = q. The pair covers a round
+/// only if the user's inclusion moves its own ≤ ω buckets by at most one
+/// noise unit and leaves every other bucket alone; DESIGN.md ("Sensitivity
+/// bounds, honestly stated") says where that does not yet hold at λ > 1.
+/// The privacy loss at
 /// sample x is L(x) = log(1−p+p·e^{(2x−1)/(2σ²)}). The PLD (the
 /// distribution of L(x), x ~ P) is discretized once per distinct (p, σ)
 /// on the pessimistic grid of privacy/pld_grid.h and composed across
@@ -56,9 +51,8 @@ struct PldEntry {
 /// entries afresh (see DESIGN.md). The evaluation state is a cache behind
 /// const calls: an accountant is not safe for concurrent calls.
 ///
-/// This backs both PLD spellings of the pipeline's Accountant stage:
-/// "pld_fft" (Poisson rounds only) and "mog" (Poisson and fixed-batch
-/// rounds). The RDP ledger remains the default.
+/// This backs the pipeline's "pld_fft" Accountant stage. The RDP ledger
+/// remains the default.
 class PldAccountant {
  public:
   /// `delta` is the fixed δ of the (ε, δ) guarantee, in (0, 1). Aborts on
@@ -87,11 +81,12 @@ class PldAccountant {
   /// "PLD1" tag. The PLD discretizations are deterministic functions of
   /// those, so a restored accountant answers CumulativeEpsilon
   /// bit-identically. Restore takes the entries verbatim and also reads
-  /// the "MOG1" blobs that --accountant=mog checkpoints carried before it
-  /// shared this accountant: each MOG1 entry becomes one entry at p = q
-  /// (Poisson) or p = B/N (fixed batch), so the restored ε is the one
-  /// certified when the blob was written. Any other tag (an RDP ledger
-  /// blob, say) fails instead of misparsing.
+  /// the "MOG1" blobs that the retired --accountant=mog spelling wrote:
+  /// each Poisson MOG1 entry becomes one entry at p = q, so the restored ε
+  /// is the one certified when the blob was written. A MOG1 blob with a
+  /// fixed-batch entry fails, since the Poisson pair never bounded those
+  /// rounds. Any other tag (an RDP ledger blob, say) fails instead of
+  /// misparsing.
   void SaveState(ByteWriter& writer) const;
   static Result<PldAccountant> Restore(ByteReader& reader);
 

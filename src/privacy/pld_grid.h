@@ -18,9 +18,8 @@ namespace plp::privacy {
 /// when the composed loss mass approaches ±grid_range — pick grid_range
 /// comfortably above the target ε.
 ///
-/// PldAccountant, the one PLD accountant (behind both the "pld_fft" and
-/// "mog" stage spellings), discretizes, composes and inverts δ(ε) with
-/// the helpers below.
+/// PldAccountant, the one PLD accountant (the "pld_fft" stage),
+/// discretizes, composes and inverts δ(ε) with the helpers below.
 struct PldOptions {
   int32_t log2_grid_size = 15;  ///< n = 2^15 loss bins
   double grid_range = 32.0;     ///< losses discretized on (−R, R]

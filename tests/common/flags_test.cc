@@ -1,5 +1,8 @@
 #include "common/flags.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace plp {
@@ -75,6 +78,13 @@ TEST(FlagParserTest, ListDefaultsWhenAbsent) {
   const FlagParser f = Parse({});
   EXPECT_EQ(f.GetDoubleList("eps", {1.0, 2.0}).size(), 2u);
   EXPECT_EQ(f.GetIntList("k", {3}).size(), 1u);
+}
+
+TEST(FlagParserTest, KeysListsEveryParsedKeyOnceInOrder) {
+  const FlagParser f =
+      Parse({"--sigm=9", "input.csv", "--eps", "0.5", "--verbose", "--eps=1"});
+  EXPECT_EQ(f.keys(), (std::vector<std::string>{"eps", "sigm", "verbose"}));
+  EXPECT_TRUE(Parse({"positional"}).keys().empty());
 }
 
 TEST(FlagParserTest, LastValueWins) {

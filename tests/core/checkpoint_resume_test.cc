@@ -329,12 +329,15 @@ TEST_F(CheckpointResumeTest, ResumeRejectsDeltaMismatch) {
   EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(CheckpointResumeTest, ResumeRejectsSamplingSchemeMismatch) {
+/// Fixed-batch sampling is retired, and its ledgers certified rounds with
+/// the Poisson pair, which does not bound a fixed batch's ε. A checkpoint
+/// whose scheme byte says fixed batch must be refused by name, and left on
+/// disk: a refusal that skipped the file would start a fresh run whose
+/// pruning deletes the old checkpoints.
+TEST_F(CheckpointResumeTest, ResumeRejectsFixedBatchCheckpoint) {
   const data::TrainingCorpus corpus = MakeCorpus();
-  PlpConfig poisson = MakePrivateConfig();
-  poisson.accountant = "mog";  // the only accountant legal for both schemes
   Rng rng(kSeed);
-  ASSERT_TRUE(PlpTrainer(poisson)
+  ASSERT_TRUE(PlpTrainer(MakePrivateConfig())
                   .Train(corpus, rng,
                          [](const StepMetrics& m, const sgns::SgnsModel&) {
                            return m.step < 3;
@@ -342,19 +345,23 @@ TEST_F(CheckpointResumeTest, ResumeRejectsSamplingSchemeMismatch) {
                          Options(false))
                   .ok());
 
-  // The checkpointed RNG stream and the accounted mechanism both belong to
-  // the Poisson run; replaying them under fixed-batch sampling would be a
-  // different mechanism with the same ledger.
-  PlpConfig fixed = poisson;
-  fixed.sampling_scheme = SamplingScheme::kFixedBatch;
+  const ckpt::CheckpointManager manager(dir_);
+  auto newest = manager.LoadLatest();
+  ASSERT_TRUE(newest.ok()) << newest.status().message();
+  EXPECT_EQ(newest->scheme, ckpt::SamplingScheme::kPoisson);
+  newest->scheme = ckpt::SamplingScheme::kFixedBatch;
+  ASSERT_TRUE(manager.Save(*newest).ok());
+  const std::string path = manager.PathForStep(newest->step);
+
   Rng resumed_rng(kSeed);
-  auto resumed =
-      PlpTrainer(fixed).Train(corpus, resumed_rng, nullptr, Options(true));
+  auto resumed = PlpTrainer(MakePrivateConfig())
+                     .Train(corpus, resumed_rng, nullptr, Options(true));
   ASSERT_FALSE(resumed.ok());
   EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(resumed.status().message().find("sampling scheme"),
+  EXPECT_NE(resumed.status().message().find("fixed-batch"),
             std::string::npos)
       << resumed.status().message();
+  EXPECT_TRUE(std::filesystem::exists(path)) << path;
 }
 
 TEST_F(CheckpointResumeTest, ResumeRejectsCrossAccountantBlob) {
@@ -368,55 +375,46 @@ TEST_F(CheckpointResumeTest, ResumeRejectsCrossAccountantBlob) {
                          Options(false))
                   .ok());
 
-  // An RDP ledger blob must not restore into the MoG (or PLD) accountant:
-  // the blob magics differ and the resume fails instead of misparsing.
-  for (const char* accountant : {"mog", "pld_fft"}) {
-    PlpConfig other = MakePrivateConfig();
-    other.accountant = accountant;
+  // An RDP ledger blob must not restore into the PLD accountant: the blob
+  // magics differ and the resume fails instead of misparsing.
+  PlpConfig pld = MakePrivateConfig();
+  pld.accountant = "pld_fft";
+  {
     Rng resumed_rng(kSeed);
     auto resumed =
-        PlpTrainer(other).Train(corpus, resumed_rng, nullptr, Options(true));
-    ASSERT_FALSE(resumed.ok()) << accountant;
-    EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument)
-        << accountant;
+        PlpTrainer(pld).Train(corpus, resumed_rng, nullptr, Options(true));
+    ASSERT_FALSE(resumed.ok());
+    EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
   }
 
-  // The reverse direction: the RDP blob has no tag, so a PLD1 or MOG1 blob
-  // resumed under rdp must be named as the PLD accountant's, not fail on
-  // whichever RDP field its bytes happen to trip.
-  for (const char* accountant : {"pld_fft", "mog"}) {
-    std::filesystem::remove_all(dir_);
-    PlpConfig pld = MakePrivateConfig();
-    pld.accountant = accountant;
-    Rng pld_rng(kSeed);
-    ASSERT_TRUE(PlpTrainer(pld)
-                    .Train(corpus, pld_rng,
-                           [](const StepMetrics& m, const sgns::SgnsModel&) {
-                             return m.step < 3;
-                           },
-                           Options(false))
-                    .ok())
-        << accountant;
-    Rng resumed_rng(kSeed);
-    auto resumed = PlpTrainer(MakePrivateConfig())
-                       .Train(corpus, resumed_rng, nullptr, Options(true));
-    ASSERT_FALSE(resumed.ok()) << accountant;
-    EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument)
-        << accountant;
-    EXPECT_NE(resumed.status().message().find("PLD accountant"),
-              std::string::npos)
-        << accountant << ": " << resumed.status().message();
-  }
+  // The reverse direction: the RDP blob has no tag, so a PLD1 blob resumed
+  // under rdp must be named as the PLD accountant's, not fail on whichever
+  // RDP field its bytes happen to trip.
+  std::filesystem::remove_all(dir_);
+  Rng pld_rng(kSeed);
+  ASSERT_TRUE(PlpTrainer(pld)
+                  .Train(corpus, pld_rng,
+                         [](const StepMetrics& m, const sgns::SgnsModel&) {
+                           return m.step < 3;
+                         },
+                         Options(false))
+                  .ok());
+  Rng resumed_rng(kSeed);
+  auto resumed = PlpTrainer(MakePrivateConfig())
+                     .Train(corpus, resumed_rng, nullptr, Options(true));
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(resumed.status().message().find("PLD accountant"),
+            std::string::npos)
+      << resumed.status().message();
 }
 
-/// The full resume contract under the new pipeline pieces at once: MoG
-/// accounting plus fixed-batch sampling. The resumed run must land on the
-/// uninterrupted run's model and ε trajectory bit-for-bit.
-TEST_F(CheckpointResumeTest, MogFixedBatchResumeIsBitIdentical) {
+/// The full resume contract under the PLD accountant: the resumed run must
+/// land on the uninterrupted run's model and ε trajectory bit-for-bit.
+TEST_F(CheckpointResumeTest, PldResumeIsBitIdentical) {
   const data::TrainingCorpus corpus = MakeCorpus();
   PlpConfig config = MakePrivateConfig();
-  config.accountant = "mog";
-  config.sampling_scheme = SamplingScheme::kFixedBatch;
+  config.accountant = "pld_fft";
   const PlpTrainer trainer(config);
 
   Rng reference_rng(kSeed);

@@ -1,6 +1,8 @@
 #include "core/config.h"
 
 #include <functional>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -26,6 +28,7 @@ TEST(PlpConfigTest, DefaultsAreValidAndMatchPaper) {
 struct BadConfigCase {
   const char* name;
   std::function<void(PlpConfig&)> mutate;
+  const char* names = "";  ///< text the message must contain
 };
 
 // gtest prints a parameter it has no printer for as raw bytes, and the
@@ -39,7 +42,10 @@ class PlpConfigValidationTest : public testing::TestWithParam<BadConfigCase> {
 TEST_P(PlpConfigValidationTest, Rejected) {
   PlpConfig config;
   GetParam().mutate(config);
-  EXPECT_FALSE(config.Validate().ok());
+  const Status status = config.Validate();
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find(GetParam().names), std::string::npos)
+      << status.message();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -61,93 +67,38 @@ INSTANTIATE_TEST_SUITE_P(
         {"zero_lr", [](PlpConfig& c) { c.local_learning_rate = 0.0; }},
         {"bad_optimizer", [](PlpConfig& c) { c.server_optimizer = "sgd?"; }},
         {"zero_max_steps", [](PlpConfig& c) { c.max_steps = 0; }},
+        // The retired "mog" spelling is an unknown accountant, and the
+        // message names the PLD accountant's one spelling.
+        {"mog_accountant", [](PlpConfig& c) { c.accountant = "mog"; },
+         "pld_fft"},
     }),
     [](const testing::TestParamInfo<BadConfigCase>& info) {
       return info.param.name;
     });
 
-TEST(PlpConfigTest, ParseSamplingSchemeRoundTrips) {
-  auto poisson = ParseSamplingScheme("poisson");
-  ASSERT_TRUE(poisson.ok());
-  EXPECT_EQ(*poisson, SamplingScheme::kPoisson);
-  EXPECT_STREQ(SamplingSchemeName(*poisson), "poisson");
-
-  auto fixed = ParseSamplingScheme("fixed_batch");
-  ASSERT_TRUE(fixed.ok());
-  EXPECT_EQ(*fixed, SamplingScheme::kFixedBatch);
-  EXPECT_STREQ(SamplingSchemeName(*fixed), "fixed_batch");
-
-  auto bad = ParseSamplingScheme("bernoulli");
-  ASSERT_FALSE(bad.ok());
-  EXPECT_NE(bad.status().message().find("poisson, fixed_batch"),
-            std::string::npos);
-}
-
+/// Poisson sampling is the one scheme; both accountants accept it.
 TEST(PlpConfigTest, AcceptsEverySupportedSchemeAccountantPair) {
-  for (const char* accountant : {"rdp", "pld_fft", "mog"}) {
+  for (const char* accountant : {"rdp", "pld_fft"}) {
     PlpConfig config;
     config.accountant = accountant;
     EXPECT_TRUE(config.Validate().ok()) << accountant;
   }
-  PlpConfig config;
-  config.sampling_scheme = SamplingScheme::kFixedBatch;
-  config.accountant = "mog";
-  EXPECT_TRUE(config.Validate().ok());
-}
-
-/// Poisson-only accountants must reject fixed-batch sampling, with a
-/// structured message naming the valid pairs.
-TEST(PlpConfigTest, RejectsFixedBatchUnderPoissonOnlyAccountants) {
-  for (const char* accountant : {"rdp", "pld_fft"}) {
-    PlpConfig config;
-    config.sampling_scheme = SamplingScheme::kFixedBatch;
-    config.accountant = accountant;
-    const Status status = config.Validate();
-    ASSERT_FALSE(status.ok()) << accountant;
-    EXPECT_NE(status.message().find("models Poisson sampling only"),
-              std::string::npos)
-        << status.message();
-    EXPECT_NE(status.message().find(
-                  "poisson x {rdp, pld_fft, mog} and fixed_batch x {mog}"),
-              std::string::npos)
-        << status.message();
-  }
 }
 
 /// Validation collects every violation into one message instead of
-/// stopping at the first: a bad pairing and a bad σ surface together.
+/// stopping at the first: an unknown accountant and a bad σ surface
+/// together.
 TEST(PlpConfigTest, CollectsPairingViolationWithOthers) {
   PlpConfig config;
-  config.sampling_scheme = SamplingScheme::kFixedBatch;
-  config.accountant = "rdp";
+  config.accountant = "mog";
   config.noise_scale = -1.0;
   const Status status = config.Validate();
   ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("models Poisson sampling only"),
+  EXPECT_NE(status.message().find("unknown accountant: mog"),
             std::string::npos)
       << status.message();
   EXPECT_NE(status.message().find("noise_scale"), std::string::npos)
       << status.message();
-}
-
-/// The mog Accountant stage rejects ω > 64; Validate() must catch the
-/// same bound up front (naming it) so a --accountant=mog run fails before
-/// corpus loading instead of at the first TrackRound.
-TEST(PlpConfigTest, RejectsMogAboveMaxSplitFactor) {
-  PlpConfig config;
-  config.accountant = "mog";
-  config.split_factor = 65;
-  const Status status = config.Validate();
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("split_factor <= 64"), std::string::npos)
-      << status.message();
-  // Other accountants scale ω·C into the noise and have no such bound.
-  config.accountant = "rdp";
-  EXPECT_TRUE(config.Validate().ok());
-  // The bound itself is valid under mog.
-  config.accountant = "mog";
-  config.split_factor = 64;
-  EXPECT_TRUE(config.Validate().ok());
 }
 
 TEST(PlpConfigTest, SigmaZeroIsAllowedByValidation) {

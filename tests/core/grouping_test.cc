@@ -107,38 +107,6 @@ TEST(RandomGroupingTest, EmptySample) {
   EXPECT_TRUE(BuildBuckets(corpus, {}, BaseConfig(2), rng).empty());
 }
 
-TEST(EqualFrequencyTest, NeverSplitsAUser) {
-  const data::TrainingCorpus corpus = MakeCorpus({50, 40, 30, 20, 10, 5});
-  std::vector<int32_t> sampled = {0, 1, 2, 3, 4, 5};
-  PlpConfig config = BaseConfig(2);
-  config.grouping = GroupingKind::kEqualFrequency;
-  Rng rng(9);
-  const auto buckets = BuildBuckets(corpus, sampled, config, rng);
-  EXPECT_EQ(RealizedSplitFactor(buckets), 1);
-  std::multiset<int32_t> seen;
-  for (const Bucket& b : buckets) {
-    EXPECT_LE(b.users.size(), 2u);
-    seen.insert(b.users.begin(), b.users.end());
-  }
-  EXPECT_EQ(seen.size(), 6u);
-}
-
-TEST(EqualFrequencyTest, BalancesLoadBetterThanWorstCase) {
-  // Users with skewed sizes; greedy LPT should avoid putting the two
-  // biggest users together.
-  const data::TrainingCorpus corpus = MakeCorpus({100, 90, 10, 8, 6, 4});
-  std::vector<int32_t> sampled = {0, 1, 2, 3, 4, 5};
-  PlpConfig config = BaseConfig(2);
-  config.grouping = GroupingKind::kEqualFrequency;
-  Rng rng(10);
-  const auto buckets = BuildBuckets(corpus, sampled, config, rng);
-  int64_t max_load = 0;
-  for (const Bucket& b : buckets) {
-    max_load = std::max(max_load, b.num_tokens());
-  }
-  EXPECT_LT(max_load, 190);  // 100+90 would be the unbalanced worst case
-}
-
 TEST(SplitFactorTest, OmegaTwoSplitsUsersAcrossTwoBuckets) {
   const data::TrainingCorpus corpus = MakeCorpus(std::vector<int>(12, 10));
   std::vector<int32_t> sampled;

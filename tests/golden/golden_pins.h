@@ -31,11 +31,6 @@ inline const std::vector<PrivatePin>& PrivatePins() {
         0x1.bc418636a0df9p+1, 0x1.e72eb1953251ap+1, 0x1.00292710670b2p+2, 
         0x1.0c9223b718c34p+2, 0x1.18fb205dca7b7p+2, 0x1.25641d047c339p+2, 
         0x1.31cd19ab2debbp+2, 0x1.3e361651dfa3ep+2, 0x1.4a9f12f8915cp+2}},
-      {"equal_frequency", 0x04f1d3feb4b54b0fULL, 12, 1,
-       {0x1.229d083b21621p+1, 0x1.66672f797dfb8p+1, 0x1.91545ad80f6d8p+1, 
-        0x1.bc418636a0df9p+1, 0x1.e72eb1953251ap+1, 0x1.00292710670b2p+2, 
-        0x1.0c9223b718c34p+2, 0x1.18fb205dca7b7p+2, 0x1.25641d047c339p+2, 
-        0x1.31cd19ab2debbp+2, 0x1.3e361651dfa3ep+2, 0x1.4a9f12f8915cp+2}},
       {"split2", 0x166d0d8f1392c486ULL, 12, 1,
        {0x1.229d083b21621p+1, 0x1.66672f797dfb8p+1, 0x1.91545ad80f6d8p+1, 
         0x1.bc418636a0df9p+1, 0x1.e72eb1953251ap+1, 0x1.00292710670b2p+2, 
@@ -74,21 +69,6 @@ inline const std::vector<PrivatePin>& PrivatePins() {
         0x1.bc418636a0df9p+1, 0x1.e72eb1953251ap+1, 0x1.00292710670b2p+2, 
         0x1.0c9223b718c34p+2, 0x1.18fb205dca7b7p+2, 0x1.25641d047c339p+2, 
         0x1.31cd19ab2debbp+2, 0x1.3e361651dfa3ep+2, 0x1.4a9f12f8915cp+2}},
-      {"mog", 0x033c1ecab22831b2ULL, 12, 1,
-       {0x1.639209071171fp+0, 0x1.c070517f9726dp+0, 0x1.04cc34fe09ae5p+1, 
-        0x1.243a06014c5b5p+1, 0x1.405ad8cd6c16dp+1, 0x1.5a238fba1a51fp+1, 
-        0x1.722601421d186p+1, 0x1.88c10a38c5932p+1, 0x1.9e36a1a5d1f26p+1, 
-        0x1.b2b688abecce8p+1, 0x1.c664e35514951p+1, 0x1.d95da6942c64p+1}},
-      {"mog_split2", 0x166d0d8f1392c486ULL, 12, 1,
-       {0x1.639209071171fp+0, 0x1.c070517f9726dp+0, 0x1.04cc34fe09ae5p+1, 
-        0x1.243a06014c5b5p+1, 0x1.405ad8cd6c16dp+1, 0x1.5a238fba1a51fp+1, 
-        0x1.722601421d186p+1, 0x1.88c10a38c5932p+1, 0x1.9e36a1a5d1f26p+1, 
-        0x1.b2b688abecce8p+1, 0x1.c664e35514951p+1, 0x1.d95da6942c64p+1}},
-      {"mog_fixed_batch", 0x97bf19082ee57589ULL, 12, 1,
-       {0x1.639209071171fp+0, 0x1.c070517f9726dp+0, 0x1.04cc34fe09ae5p+1, 
-        0x1.243a06014c5b5p+1, 0x1.405ad8cd6c16dp+1, 0x1.5a238fba1a51fp+1, 
-        0x1.722601421d186p+1, 0x1.88c10a38c5932p+1, 0x1.9e36a1a5d1f26p+1, 
-        0x1.b2b688abecce8p+1, 0x1.c664e35514951p+1, 0x1.d95da6942c64p+1}},
       {"pld_fft", 0x033c1ecab22831b2ULL, 12, 1,
        {0x1.639209071171fp+0, 0x1.c070517f9726dp+0, 0x1.04cc34fe09ae5p+1, 
         0x1.243a06014c5b5p+1, 0x1.405ad8cd6c16dp+1, 0x1.5a238fba1a51fp+1, 

@@ -31,9 +31,10 @@ inline constexpr uint64_t kGoldenSeed = 1234;
 ///
 /// History: 1 = libm exp/LogSumExp softmax path (PR 5 and earlier);
 /// 2 = fused max-shifted softmax over the bounded exp/sigmoid LUTs;
-/// 3 = MoG accountant composes the all-or-nothing participation law
-///     (whole-user sampling), so the mog ω = 2 ε trajectory equals ω = 1
-///     instead of the unsound element-wise Binomial mixture's.
+/// 3 = the MoG accountant (since retired; its ε is pld_fft's) composes
+///     the all-or-nothing participation law (whole-user sampling), so its
+///     ω = 2 ε trajectory equals ω = 1 instead of the unsound element-wise
+///     Binomial mixture's.
 inline constexpr int kGoldenNumericsVersion = 3;
 
 /// CRC-64/XZ over the raw bytes of the three tensors in tensor order —
@@ -85,11 +86,6 @@ inline std::vector<PrivateVariant> PrivateVariants() {
   variants.push_back({"default", GoldenPrivateBase()});
   {
     core::PlpConfig c = GoldenPrivateBase();
-    c.grouping = core::GroupingKind::kEqualFrequency;
-    variants.push_back({"equal_frequency", c});
-  }
-  {
-    core::PlpConfig c = GoldenPrivateBase();
     c.split_factor = 2;
     variants.push_back({"split2", c});
   }
@@ -133,34 +129,9 @@ inline std::vector<PrivateVariant> PrivateVariants() {
     variants.push_back({"unigram", c});
   }
   {
-    // Group-level Mixture-of-Gaussians accountant (PR 10). Appended after
-    // "unigram" — same convention: earlier pins keep position and value.
-    core::PlpConfig c = GoldenPrivateBase();
-    c.accountant = "mog";
-    variants.push_back({"mog", c});
-  }
-  {
-    // MoG under ω = 2: ε must match the ω = 1 run bit-exactly —
-    // participation is all-or-nothing, so the dominating pair (and the
-    // joint multiplier σ) is the same at every ω.
-    core::PlpConfig c = GoldenPrivateBase();
-    c.accountant = "mog";
-    c.split_factor = 2;
-    variants.push_back({"mog_split2", c});
-  }
-  {
-    // Fixed-batch sampling — only accountable by mog; also exercises the
-    // FixedBatchSampler stage end to end.
-    core::PlpConfig c = GoldenPrivateBase();
-    c.accountant = "mog";
-    c.sampling_scheme = core::SamplingScheme::kFixedBatch;
-    variants.push_back({"mog_fixed_batch", c});
-  }
-  {
-    // The FFT privacy-loss-distribution accountant that the paper
-    // defaults and the train_publish benchmark run. Same sampling as
-    // "default", so the model CRC equals that pin's; same dominating
-    // pair as "mog", so the ε trajectory equals that pin's.
+    // The FFT privacy-loss-distribution accountant that the
+    // train_publish benchmark runs. Same sampling as "default", so the
+    // model CRC equals that pin's.
     core::PlpConfig c = GoldenPrivateBase();
     c.accountant = "pld_fft";
     variants.push_back({"pld_fft", c});

@@ -3,9 +3,9 @@
 // because every bucket trains on an Rng keyed by the step seed and the
 // bucket's content, never by scheduling (see core/bucket_update.h).
 // These tests pin that guarantee across the trainer's code paths (random
-// grouping, equal-frequency grouping, ω-split, DP-SGD baseline), plus the
-// clipping/grouping edge cases: steps whose Poisson sample is empty, a
-// single giant user, and λ larger than the sampled user count.
+// grouping, ω-split, DP-SGD baseline), plus the clipping/grouping edge
+// cases: steps whose Poisson sample is empty, a single giant user, and λ
+// larger than the sampled user count.
 
 #include <cmath>
 #include <cstdint>
@@ -84,18 +84,6 @@ TEST(DeterminismTest, SplitPathBitwiseIdenticalAcrossThreadCounts) {
   PlpConfig config = DeterminismConfig();
   config.split_factor = 2;
   const uint64_t seed = test::SeedAt(0x5B117D, 0);
-  const TrainResult sequential = TrainWithThreads(corpus, config, 1, seed);
-  for (int32_t threads : {4, 8}) {
-    ExpectBitwiseEqual(sequential.model,
-                       TrainWithThreads(corpus, config, threads, seed).model);
-  }
-}
-
-TEST(DeterminismTest, EqualFrequencyPathBitwiseIdenticalAcrossThreadCounts) {
-  const data::TrainingCorpus corpus = test::ClusteredCorpus();
-  PlpConfig config = DeterminismConfig();
-  config.grouping = GroupingKind::kEqualFrequency;
-  const uint64_t seed = test::SeedAt(0xEFD, 0);
   const TrainResult sequential = TrainWithThreads(corpus, config, 1, seed);
   for (int32_t threads : {4, 8}) {
     ExpectBitwiseEqual(sequential.model,
@@ -184,13 +172,10 @@ TEST(DeterminismTest, LambdaExceedingSampleFormsOneBucket) {
 
   // Direct grouping: every sampled user lands in the single bucket.
   const std::vector<int32_t> sampled = {1, 4, 9};
-  for (const GroupingKind kind :
-       {GroupingKind::kRandom, GroupingKind::kEqualFrequency}) {
-    PlpConfig c = config;
-    c.grouping = kind;
+  {
     Rng rng(7);
     const std::vector<Bucket> buckets =
-        BuildBuckets(corpus, sampled, c, rng);
+        BuildBuckets(corpus, sampled, config, rng);
     ASSERT_EQ(buckets.size(), 1u);
     EXPECT_EQ(buckets[0].users.size(), sampled.size());
   }

@@ -19,11 +19,19 @@
 // not containing the removed user keep their exact RNG stream and hence
 // their exact delta, so the only movement comes from the touched buckets.
 //
+// The zero-out tests run the real sampler and grouper too. Under zero-out
+// adjacency (the one DESIGN.md names) the neighbor empties one sampled
+// user's sentences and keeps its id, so N and every sampler draw stay the
+// same. For a fixed step seed only that user's ≤ ω buckets may change.
+//
 // The suite ends with negative tests proving the checker would catch a
 // deliberately broken mechanism (clip bound raised, ω ignored).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -300,6 +308,127 @@ TEST(SensitivityTest, GroupedNeighborMovesAtMostTwiceOmegaClip) {
                 2.0 * config.clip_norm + kTol);
     }
   });
+}
+
+// One step of the real private stages up to the pre-noise sum: the
+// sampler and grouper draw from the step's RNG, then the step seed is
+// drawn and every bucket trains on its content-keyed RNG and is clipped,
+// in the engine's order.
+struct StageRound {
+  explicit StageRound(const sgns::SgnsModel& theta) : sum(theta) {}
+
+  std::vector<int32_t> sampled;
+  std::vector<Bucket> buckets;
+  std::vector<sgns::DenseUpdate> clipped;  ///< one per bucket
+  sgns::DenseUpdate sum;
+};
+
+StageRound RunStages(const data::TrainingCorpus& corpus,
+                     const sgns::SgnsModel& theta, const PlpConfig& config,
+                     uint64_t seed) {
+  pipeline::StageSet stages = pipeline::MakePrivateStages(config);
+  Rng rng(seed);
+  PLP_CHECK(stages.updater->Prepare(corpus, theta, rng).ok());
+  StageRound round(theta);
+  round.sampled = stages.sampler->Sample(corpus, rng);
+  round.buckets = stages.grouper->Group(corpus, round.sampled, rng);
+  const uint64_t step_seed = rng.NextU64();
+  for (const Bucket& bucket : round.buckets) {
+    Rng bucket_rng(BucketSeed(step_seed, bucket));
+    const sgns::SparseDelta delta =
+        ClippedBucketDelta(stages, theta, bucket, config,
+                           corpus.num_locations, bucket_rng);
+    round.clipped.emplace_back(theta);
+    delta.AccumulateInto(round.clipped.back(), 1.0);
+    delta.AccumulateInto(round.sum, 1.0);
+  }
+  return round;
+}
+
+bool SameBits(const sgns::DenseUpdate& a, const sgns::DenseUpdate& b) {
+  for (int t = 0; t < sgns::kNumTensors; ++t) {
+    const auto xa = a.TensorData(static_cast<sgns::Tensor>(t));
+    const auto xb = b.TensorData(static_cast<sgns::Tensor>(t));
+    if (xa.size() != xb.size() ||
+        std::memcmp(xa.data(), xb.data(), xa.size() * sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool SameContent(const Bucket& a, const Bucket& b) {
+  return a.users == b.users && a.sentences == b.sentences;
+}
+
+// R2 under zero-out adjacency, through MakePrivateStages' sampler,
+// grouper, updater and clipper: for every sampled user of every seed, the
+// neighbor corpus empties that user's sentences. The samples must agree,
+// every bucket of D without the user must reappear in D′ with the same
+// users, sentences and clipped-delta bits, at most ω buckets may differ on
+// either side, and the pre-noise sum moves by at most 2·ω·C.
+void ExpectZeroOutMovesOnlyTheUsersBuckets(const PlpConfig& config,
+                                           uint64_t base) {
+  const int32_t omega = config.split_factor;
+  test::ForEachSeed(3, base, [&](uint64_t seed) {
+    const data::TrainingCorpus corpus = test::UniformCorpus(seed, 40, 25);
+    const sgns::SgnsModel model = MakeModel(25, config, seed ^ 1);
+    const uint64_t step_seed = seed ^ 2;
+    const StageRound d = RunStages(corpus, model, config, step_seed);
+    ASSERT_GE(d.sampled.size(), 2u);
+
+    for (const int32_t zeroed : d.sampled) {
+      SCOPED_TRACE("zeroed user " + std::to_string(zeroed));
+      data::TrainingCorpus neighbor = corpus;
+      neighbor.user_sentences[static_cast<size_t>(zeroed)].clear();
+      const StageRound d2 = RunStages(neighbor, model, config, step_seed);
+      ASSERT_EQ(d2.sampled, d.sampled);
+
+      std::vector<bool> matched(d2.buckets.size(), false);
+      size_t differing = 0;
+      for (size_t i = 0; i < d.buckets.size(); ++i) {
+        size_t j = 0;
+        while (j < d2.buckets.size() &&
+               (matched[j] || !SameContent(d.buckets[i], d2.buckets[j]))) {
+          ++j;
+        }
+        const bool holds_user =
+            std::find(d.buckets[i].users.begin(), d.buckets[i].users.end(),
+                      zeroed) != d.buckets[i].users.end();
+        if (j == d2.buckets.size()) {
+          EXPECT_TRUE(holds_user) << "bucket " << i << " changed";
+          ++differing;
+          continue;
+        }
+        matched[j] = true;
+        EXPECT_TRUE(SameBits(d.clipped[i], d2.clipped[j]))
+            << "bucket " << i << " kept its data but not its delta";
+      }
+      const size_t unmatched_in_neighbor = static_cast<size_t>(
+          std::count(matched.begin(), matched.end(), false));
+      EXPECT_GE(differing, 1u);
+      EXPECT_LE(differing, static_cast<size_t>(omega));
+      EXPECT_LE(unmatched_in_neighbor, static_cast<size_t>(omega));
+      EXPECT_LE(Distance(d.sum, d2.sum),
+                2.0 * omega * config.clip_norm + kTol);
+    }
+  });
+}
+
+TEST(SensitivityTest, ZeroOutRandomGroupingMovesOnlyTheUsersBucket) {
+  PlpConfig config = SensitivityConfig();
+  config.sampling_probability = 0.5;
+  config.grouping_factor = 4;
+  config.split_factor = 1;
+  ExpectZeroOutMovesOnlyTheUsersBuckets(config, /*base=*/0x2E20);
+}
+
+TEST(SensitivityTest, ZeroOutSplitGroupingMovesOnlyTheUsersBuckets) {
+  PlpConfig config = SensitivityConfig();
+  config.sampling_probability = 0.5;
+  config.grouping_factor = 4;
+  config.split_factor = 2;
+  ExpectZeroOutMovesOnlyTheUsersBuckets(config, /*base=*/0x2E25);
 }
 
 TEST(SensitivityTest, NegativeRaisedClipBoundIsDetected) {

@@ -117,15 +117,6 @@ TEST(GoldenEquivalenceTest, PrivatePinsAtEveryThreadCount) {
   }
 }
 
-/// "pld_fft" and "mog" are two spellings of one accountant, and the
-/// pld_fft variant samples exactly like "default": its pin must carry the
-/// mog pin's ε trajectory and the default pin's model.
-TEST(GoldenEquivalenceTest, PldFftPinSharesMogEpsilonAndDefaultModel) {
-  const PrivatePin& pld_fft = FindPrivatePin("pld_fft");
-  EXPECT_EQ(pld_fft.epsilon, FindPrivatePin("mog").epsilon);
-  EXPECT_EQ(pld_fft.model_crc64, FindPrivatePin("default").model_crc64);
-}
-
 TEST(GoldenEquivalenceTest, NonPrivatePins) {
   const data::TrainingCorpus corpus = GoldenCorpus();
   for (const NonPrivateVariant& variant : NonPrivateVariants()) {

@@ -248,8 +248,9 @@ TEST(PldAccountantTest, NoiseSchedulePinsTrackedPerStep) {
   EXPECT_EQ(pld.entries().size(), 40u);
 }
 
-/// Fixed-batch rounds of B = 276 out of N = 4602 users, accounted at
-/// p = B/N, one step past the ε = 2 budget.
+/// A Poisson pin at p = 276/4602 ≈ 0.05997, a hair under the default
+/// q = 0.06, one step past the ε = 2 budget. (The ID names the retired
+/// fixed-batch sampler, whose rounds were accounted at this p = B/N.)
 TEST(PldAccountantTest, FixedBatchPinAtStep389) {
   PldAccountant pld(kLongHorizonDelta);
   ASSERT_TRUE(pld.AddSteps(276.0 / 4602.0, 2.5, 389).ok());
@@ -285,9 +286,9 @@ TEST(PldAccountantTest, RejectsForeignAndTruncatedBlobs) {
   }
 }
 
-/// One entry of the MOG1 layout that --accountant=mog checkpoints carried
-/// before that spelling shared PldAccountant: scheme byte (1 Poisson,
-/// 2 fixed batch), recorded ratio, B, N, σ, ω, steps.
+/// One entry of the MOG1 layout that the retired --accountant=mog spelling
+/// wrote: scheme byte (1 Poisson, 2 fixed batch), recorded ratio, B, N, σ,
+/// ω, steps.
 struct Mog1Entry {
   uint8_t scheme = 1;
   double ratio = 0.0;
@@ -317,16 +318,13 @@ std::string Mog1Blob(const std::vector<Mog1Entry>& entries) {
   return writer.Take();
 }
 
-/// A Poisson run at ω = 2 and a fixed-batch run at ω = 4 whose recorded
-/// ratio (the configured q = 0.061) differs from B/N = 12/200, as the mog
-/// stage wrote it. The pinned ε is what the mog accountant computed for
-/// these exact bytes before it shared PldAccountant; the fixed-batch run
-/// must be accounted at p = B/N.
+/// Two Poisson runs, at ω = 2 and at ω = 4 with another σ, as the mog
+/// stage wrote them. The pinned ε is what the mog accountant certified for
+/// the same (p, σ, steps) entries.
 TEST(PldAccountantTest, RestoresMog1BlobToTheEpsilonItCertified) {
   const std::string blob = Mog1Blob({
       {.scheme = 1, .ratio = 0.06, .sigma = 2.5, .omega = 2, .steps = 120},
-      {.scheme = 2, .ratio = 0.061, .batch_size = 12, .population = 200,
-       .sigma = 1.8, .omega = 4, .steps = 40},
+      {.scheme = 1, .ratio = 0.06, .sigma = 1.8, .omega = 4, .steps = 40},
   });
   ByteReader reader(blob);
   auto restored = PldAccountant::Restore(reader);
@@ -336,10 +334,10 @@ TEST(PldAccountantTest, RestoresMog1BlobToTheEpsilonItCertified) {
   EXPECT_EQ(restored->total_steps(), 160);
   EXPECT_EQ(restored->CumulativeEpsilon(), 0x1.a341f30e8b517p+0);
 
-  // The same rounds tracked afresh at p = q and p = B/N: same bits.
+  // The same rounds tracked afresh: same bits.
   PldAccountant fresh(kDelta);
   ASSERT_TRUE(fresh.AddSteps(0.06, 2.5, 120).ok());
-  ASSERT_TRUE(fresh.AddSteps(12.0 / 200.0, 1.8, 40).ok());
+  ASSERT_TRUE(fresh.AddSteps(0.06, 1.8, 40).ok());
   EXPECT_EQ(fresh.CumulativeEpsilon(), restored->CumulativeEpsilon());
 
   // Re-saved, the blob is PLD1 and restores to the same ε again.
@@ -354,42 +352,40 @@ TEST(PldAccountantTest, RestoresMog1BlobToTheEpsilonItCertified) {
 
 TEST(PldAccountantTest, RejectsMalformedMog1Blobs) {
   const Mog1Entry poisson{.ratio = 0.1, .sigma = 1.5, .omega = 2, .steps = 3};
-  const Mog1Entry fixed{.scheme = 2, .ratio = 0.1, .batch_size = 5,
-                        .population = 50, .sigma = 1.5, .omega = 2,
-                        .steps = 3};
+  const Mog1Entry other{.ratio = 0.2, .sigma = 2.0, .omega = 64, .steps = 5};
   {
-    const std::string blob = Mog1Blob({poisson, fixed});
+    const std::string blob = Mog1Blob({poisson, other});
     ByteReader reader(blob);  // a view: the blob must outlive it
     ASSERT_TRUE(PldAccountant::Restore(reader).ok());
   }
   {
-    std::string blob = Mog1Blob({poisson, fixed});
+    std::string blob = Mog1Blob({poisson, other});
     blob.resize(blob.size() - 5);  // truncate mid-entry
     ByteReader reader(blob);
     EXPECT_FALSE(PldAccountant::Restore(reader).ok());
   }
-  const auto rejected = [](const Mog1Entry& entry) {
-    const std::string blob = Mog1Blob({entry});
+  const auto rejected = [](const std::vector<Mog1Entry>& entries) {
+    const std::string blob = Mog1Blob(entries);
     ByteReader reader(blob);
-    return !PldAccountant::Restore(reader).ok();
+    const auto restored = PldAccountant::Restore(reader);
+    return restored.ok() ? std::string() : restored.status().message();
   };
   Mog1Entry bad = poisson;
   bad.scheme = 3;
-  EXPECT_TRUE(rejected(bad)) << "unknown scheme byte";
-  bad = fixed;
-  bad.batch_size = 0;
-  EXPECT_TRUE(rejected(bad)) << "B < 1";
-  bad = fixed;
-  bad.batch_size = 51;
-  EXPECT_TRUE(rejected(bad)) << "B > N";
-  for (const int32_t omega : {0, kMogMaxSplitFactor + 1}) {
+  EXPECT_NE(rejected({bad}), "") << "unknown scheme byte";
+  for (const int32_t omega : {0, 65}) {
     bad = poisson;
     bad.omega = omega;
-    EXPECT_TRUE(rejected(bad)) << "omega=" << omega;
-    bad = fixed;
-    bad.omega = omega;
-    EXPECT_TRUE(rejected(bad)) << "fixed batch, omega=" << omega;
+    EXPECT_NE(rejected({bad}), "") << "omega=" << omega;
   }
+  // A fixed-batch entry, even a well-formed one after a Poisson entry: its
+  // rounds were accounted with the Poisson pair at p = B/N, which does not
+  // bound a fixed batch's ε, so the blob must not resume.
+  const Mog1Entry fixed{.scheme = 2, .ratio = 0.1, .batch_size = 5,
+                        .population = 50, .sigma = 1.5, .omega = 2,
+                        .steps = 3};
+  EXPECT_NE(rejected({poisson, fixed}).find("fixed-batch"),
+            std::string::npos);
 }
 
 /// End-to-end through the trainer facade: selecting "pld_fft" must train

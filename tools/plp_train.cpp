@@ -4,15 +4,17 @@
 // row required; ids may be sparse — they are densified by ascending id).
 //
 //   plp_train --input=checkins.csv --output=model.plpm
-//             [--embeddings_output=embeddings.plpe]
-//             [--private=true] [--eps=2] [--delta=2e-4] [--sigma=2.5]
-//             [--q=0.06] [--lambda=4] [--clip=0.5] [--epochs=100]
-//             [--max_steps=N] [--accountant=rdp|pld_fft|mog]
-//             [--sampling_scheme=poisson|fixed_batch] [--print_config]
+//             [--embeddings_output=embeddings.plpe] [--dim=50]
 //             [--negative_sampling=uniform|unigram] [--unigram_power=0.75]
 //             [--min_user_checkins=10] [--min_location_users=2] [--seed=1]
 //             [--checkpoint_dir=ckpts] [--checkpoint_every_steps=25]
-//             [--resume] [--rss_cap_mb=0]
+//             [--resume] [--rss_cap_mb=0] [--stats] [--print_config]
+//   private runs (--private=true, the default) also read:
+//             [--eps=2] [--delta=2e-4] [--sigma=2.5] [--q=0.06] [--lambda=4]
+//             [--clip=0.5] [--max_steps=N] [--accountant=rdp|pld_fft]
+//             [--threads=1]
+//   non-private runs (--private=false) also read:
+//             [--epochs=100]
 //
 // Instead of a CSV, --corpus_dir=DIR trains straight from an on-disk PLPD
 // corpus (see plp_corpus_gen): shards are memory-mapped and check-ins are
@@ -23,7 +25,9 @@
 // (ε, δ)-DP; with --private=false it runs plain Adam for --epochs passes.
 //
 // Configuration errors report *every* invalid field in one message, before
-// any data is read. --print_config validates, dumps the resolved pipeline
+// any data is read. A flag the chosen mode does not read (a typo such as
+// --epsilon, or --epochs on a private run) is one of those errors, never
+// silently ignored. --print_config validates, dumps the resolved pipeline
 // stage configuration (which implementation fills each Algorithm 1 stage),
 // and exits without training.
 //
@@ -32,10 +36,13 @@
 // --resume continues from the newest valid one after a crash, replaying
 // the interrupted run bit-identically.
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/fault_injection.h"
@@ -74,14 +81,6 @@ plp::core::PlpConfig PrivateConfigFromFlags(const plp::FlagParser& flags) {
   config.grouping_factor = static_cast<int32_t>(flags.GetInt("lambda", 4));
   config.clip_norm = flags.GetDouble("clip", 0.5);
   config.accountant = flags.GetString("accountant", "rdp");
-  // An unknown scheme string keeps the default here; ValidatePrivateFlags
-  // reports it (alongside every config violation) before this config is
-  // ever trained with.
-  if (auto scheme = plp::core::ParseSamplingScheme(
-          flags.GetString("sampling_scheme", "poisson"));
-      scheme.ok()) {
-    config.sampling_scheme = *scheme;
-  }
   config.max_steps = flags.GetInt("max_steps", config.max_steps);
   config.sgns.embedding_dim = static_cast<int32_t>(flags.GetInt("dim", 50));
   config.sgns.negative_sampling = SamplingKindFromFlags(flags);
@@ -100,17 +99,36 @@ plp::core::NonPrivateConfig NonPrivateConfigFromFlags(
   return config;
 }
 
-/// Appends a violation for an unparseable --sampling_scheme. Checked for
-/// every run mode: the flag only affects private runs, but a typo like
-/// --sampling_scheme=fixedbatch must be diagnosed — not silently fall
-/// back to the Poisson default — even with --private=false.
-void AppendSamplingSchemeViolation(const plp::FlagParser& flags,
-                                   std::vector<std::string>& violations) {
-  const std::string scheme = flags.GetString("sampling_scheme", "poisson");
-  if (!plp::core::ParseSamplingScheme(scheme).ok()) {
-    violations.emplace_back(
-        "unknown --sampling_scheme (expected poisson or fixed_batch): " +
-        scheme);
+/// The flags main() reads in both modes, then the ones only one mode
+/// reads.
+constexpr std::string_view kCommonFlags[] = {
+    "private", "print_config", "input", "corpus_dir", "output",
+    "embeddings_output", "min_user_checkins", "min_location_users", "stats",
+    "rss_cap_mb", "checkpoint_dir", "checkpoint_every_steps", "resume",
+    "seed", "dim", "negative_sampling", "unigram_power"};
+constexpr std::string_view kPrivateFlags[] = {
+    "eps", "delta", "sigma", "q", "lambda", "clip", "accountant",
+    "max_steps", "threads"};
+constexpr std::string_view kNonPrivateFlags[] = {"epochs"};
+
+/// Appends one violation per flag the run mode does not read: a typo
+/// (--epsilon) or a retired flag (--sampling_scheme) would otherwise train
+/// at the defaults without a word.
+void AppendUnreadFlagViolations(const plp::FlagParser& flags,
+                                bool is_private,
+                                std::vector<std::string>& violations) {
+  const auto listed = [](std::span<const std::string_view> names,
+                         const std::string& key) {
+    return std::find(names.begin(), names.end(), key) != names.end();
+  };
+  const std::span<const std::string_view> mode_flags =
+      is_private ? std::span<const std::string_view>(kPrivateFlags)
+                 : std::span<const std::string_view>(kNonPrivateFlags);
+  for (const std::string& key : flags.keys()) {
+    if (listed(kCommonFlags, key) || listed(mode_flags, key)) continue;
+    violations.push_back("unknown flag --" + key +
+                         " (not read with --private=" +
+                         (is_private ? "true" : "false") + ")");
   }
 }
 
@@ -125,12 +143,11 @@ plp::Status JoinViolations(std::vector<std::string> violations) {
 }
 
 /// Validates the private-run flag set, collecting flag-level violations
-/// (an unparseable --sampling_scheme) together with every config-level
-/// violation — including the (scheme, accountant) pairing rule, whose
-/// message names the valid pairs — into one kInvalidArgument.
+/// (flags a private run does not read) together with every config-level
+/// violation into one kInvalidArgument.
 plp::Status ValidatePrivateFlags(const plp::FlagParser& flags) {
   std::vector<std::string> violations;
-  AppendSamplingSchemeViolation(flags, violations);
+  AppendUnreadFlagViolations(flags, /*is_private=*/true, violations);
   if (auto s = PrivateConfigFromFlags(flags).Validate(); !s.ok()) {
     violations.emplace_back(s.message());
   }
@@ -140,7 +157,7 @@ plp::Status ValidatePrivateFlags(const plp::FlagParser& flags) {
 /// Validates the non-private flag set under the same collect-all contract.
 plp::Status ValidateNonPrivateFlags(const plp::FlagParser& flags) {
   std::vector<std::string> violations;
-  AppendSamplingSchemeViolation(flags, violations);
+  AppendUnreadFlagViolations(flags, /*is_private=*/false, violations);
   if (auto s = NonPrivateConfigFromFlags(flags).Validate(); !s.ok()) {
     violations.emplace_back(s.message());
   }
